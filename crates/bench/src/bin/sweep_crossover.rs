@@ -4,19 +4,17 @@
 //! suffices); every extra cube hides the core deeper, and only divisor
 //! decomposition (Section IV) can recover it.
 //!
-//! The binary also times the incremental [`SubstEngine`] sweep against the
-//! legacy per-pair path on a ≥ 200-node generated workload and writes the
-//! numbers to `BENCH_sweep.json` so the perf trajectory is tracked across
-//! PRs. "Candidates/s" counts every (target, divisor) pair the sweep
-//! disposed of per wall-clock second — for the engine that includes pairs
-//! the support-overlap index rejected without ever materialising them.
-//!
-//! [`SubstEngine`]: boolsubst_core::SubstEngine
+//! The binary also times the parallel speculative sweep at 1/2/4/8
+//! threads on a ≥ 200-node generated workload, plus node-count,
+//! discovery and guard sweeps, and writes the numbers to
+//! `BENCH_sweep.json` / `BENCH_guard.json`. "Candidates/s" counts every
+//! (target, divisor) pair the sweep disposed of per wall-clock second,
+//! including pairs the support-overlap index rejected without ever
+//! materialising them.
 
 use std::time::{Duration, Instant};
 
 use boolsubst_algebraic::{algebraic_resub, network_factored_literals, ResubOptions};
-use boolsubst_core::subst::boolean_substitute_legacy;
 use boolsubst_core::verify::networks_equivalent;
 use boolsubst_core::{Discovery, Session, SubstOptions, SubstStats};
 use boolsubst_guard::TierPolicy;
@@ -31,12 +29,10 @@ use boolsubst_workloads::generator::{
 use boolsubst_workloads::large::{large_network, Family};
 use boolsubst_workloads::scripts::script_a;
 
-/// One baseline-vs-subject measurement on a fixed workload and mode. For
-/// the `legacy` rows the baseline is the legacy per-pair sweep and the
-/// subject is the 1-thread engine; for the `extended_mt` scaling rows the
-/// baseline is the 1-thread engine and the subject is the engine at
-/// `threads` workers (the `legacy_*` field names are kept for continuity
-/// of the BENCH_sweep.json schema).
+/// One baseline-vs-subject measurement on a fixed workload and mode: the
+/// `extended_mt` scaling rows, whose baseline is the 1-thread engine and
+/// whose subject is the engine at `threads` workers (the `legacy_*` field
+/// names are kept for continuity of the BENCH_sweep.json schema).
 struct SweepRow {
     mode: &'static str,
     threads: usize,
@@ -134,7 +130,7 @@ const MIN_REPS: usize = 3;
 const MAX_REPS: usize = 25;
 const MIN_BUDGET_SECS: f64 = 0.75;
 
-fn timed(net: &Network, opts: &SubstOptions, legacy: bool) -> (f64, SubstStats, String) {
+fn timed(net: &Network, opts: &SubstOptions) -> (f64, SubstStats, String) {
     let mut best: Option<(f64, SubstStats, String)> = None;
     let mut spent = 0.0f64;
     for rep in 0..MAX_REPS {
@@ -143,11 +139,7 @@ fn timed(net: &Network, opts: &SubstOptions, legacy: bool) -> (f64, SubstStats, 
         }
         let mut trial = net.clone();
         let start = Instant::now();
-        let stats = if legacy {
-            boolean_substitute_legacy(&mut trial, opts)
-        } else {
-            Session::new(&mut trial, opts.clone()).run()
-        };
+        let stats = Session::new(&mut trial, opts.clone()).run();
         let secs = start.elapsed().as_secs_f64();
         spent += secs;
         let blif = write_blif(&trial);
@@ -162,46 +154,6 @@ fn timed(net: &Network, opts: &SubstOptions, legacy: bool) -> (f64, SubstStats, 
         }
     }
     best.expect("MIN_REPS >= 1")
-}
-
-fn measure(net: &Network, mode: &'static str, opts: &SubstOptions) -> SweepRow {
-    let (legacy_secs, legacy, legacy_blif) = timed(net, opts, true);
-    let (engine_secs, engine, engine_blif) = timed(net, opts, false);
-    assert_eq!(
-        engine_blif, legacy_blif,
-        "{mode}: engine diverged from legacy"
-    );
-    assert_eq!(
-        engine.substitutions, legacy.substitutions,
-        "{mode}: substitutions"
-    );
-    // Pairs the sweep is responsible for: the legacy path feeds every
-    // snapshot pair through the filter chain; the engine disposes of the
-    // index-rejected remainder in O(1) amortised.
-    let legacy_pairs = legacy.candidates_enumerated;
-    let engine_pairs = engine.candidates_enumerated + engine.filtered_by_index;
-    let legacy_rate = legacy_pairs as f64 / legacy_secs;
-    let engine_rate = engine_pairs as f64 / engine_secs;
-    SweepRow {
-        mode,
-        threads: 1,
-        host_cpus: std::thread::available_parallelism().map_or(1, usize::from),
-        nodes: net.internal_ids().count(),
-        pairs: legacy_pairs,
-        legacy_secs,
-        engine_secs,
-        legacy_cand_per_s: legacy_rate,
-        engine_cand_per_s: engine_rate,
-        speedup: engine_rate / legacy_rate,
-        substitutions: engine.substitutions,
-        literal_gain: engine.literal_gain,
-        sim_pairs_screened: engine.sim_pairs_screened,
-        sim_pairs_refuted: engine.sim_pairs_refuted,
-        sim_false_passes: engine.sim_false_passes,
-        sim_refinements: engine.sim_refinements,
-        sim_patterns: engine.sim_patterns,
-        util: None,
-    }
 }
 
 fn json_row(r: &SweepRow) -> String {
@@ -288,9 +240,8 @@ fn traced_runs(net: &Network, trace_path: Option<&str>, chrome_path: Option<&str
 }
 
 /// One engine run on a large generated instance. Unlike [`SweepRow`]
-/// these rows have no legacy baseline — at 20k+ nodes the per-pair
-/// legacy path is not worth waiting for — and carry a deadline instead,
-/// so the sweep records throughput-at-scale without unbounded wall time.
+/// these rows have no baseline and carry a deadline instead, so the
+/// sweep records throughput-at-scale without unbounded wall time.
 struct NodeRow {
     mode: &'static str,
     family: &'static str,
@@ -331,7 +282,7 @@ fn json_node_row(r: &NodeRow) -> String {
 }
 
 /// Node-count scaling sweep: the engine on adder-family instances from
-/// the legacy-comparable 220 up to 100k gates, one deadline-bounded run
+/// 220 up to 100k gates, one deadline-bounded run
 /// per (size, mode). Generation is streaming, so `gen_secs` doubles as
 /// a check that the workload side stays O(n).
 fn node_sweep(smoke: bool) -> Vec<NodeRow> {
@@ -459,7 +410,7 @@ fn json_disc_row(r: &DiscRow) -> String {
 }
 
 /// Discovery crossover sweep: overlap vs signature-class divisor
-/// discovery on adder instances from the legacy-comparable 220 up to
+/// discovery on adder instances from 220 up to
 /// 100k gates, extended mode, checked apply (so every accepted rewrite
 /// is guard-verified), one deadline-bounded run per (size, strategy).
 /// The interesting row pair is the largest size: overlap's quadratic
@@ -646,44 +597,15 @@ fn guard_sweep(smoke: bool) -> Vec<GuardRow> {
     rows
 }
 
-fn engine_vs_legacy(smoke: bool) -> (Network, Vec<SweepRow>) {
+/// The ≥ 200-node generated workload of the scaling rows (60 nodes under
+/// `--smoke`).
+fn scaling_workload(smoke: bool) -> Network {
     let params = GeneratorParams {
         inputs: 16,
         nodes: if smoke { 60 } else { 220 },
         ..GeneratorParams::default()
     };
-    let net = random_network(9001, &params);
-    println!(
-        "\nEngine vs legacy sweep — {} internal nodes\n",
-        net.internal_ids().count()
-    );
-    println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>14} {:>14} {:>8}",
-        "mode", "pairs", "legacy s", "engine s", "legacy c/s", "engine c/s", "speedup"
-    );
-    let modes: [(&'static str, SubstOptions); 3] = [
-        ("basic", SubstOptions::basic()),
-        ("extended", SubstOptions::extended()),
-        ("extended_gdc", SubstOptions::extended_gdc()),
-    ];
-    let mut rows: Vec<SweepRow> = modes
-        .iter()
-        .map(|(name, opts)| measure(&net, name, opts))
-        .collect();
-    for r in &rows {
-        println!(
-            "{:<14} {:>10} {:>12.3} {:>12.3} {:>14.0} {:>14.0} {:>7.2}x",
-            r.mode,
-            r.pairs,
-            r.legacy_secs,
-            r.engine_secs,
-            r.legacy_cand_per_s,
-            r.engine_cand_per_s,
-            r.speedup
-        );
-    }
-    rows.extend(parallel_scaling(&net));
-    (net, rows)
+    random_network(9001, &params)
 }
 
 /// Scaling rows for the speculative parallel sweep: the extended mode at
@@ -699,7 +621,7 @@ fn parallel_scaling(net: &Network) -> Vec<SweepRow> {
         "{:<14} {:>8} {:>10} {:>12} {:>14} {:>8}",
         "mode", "threads", "pairs", "secs", "cand/s", "speedup"
     );
-    let (base_secs, base, base_blif) = timed(net, &SubstOptions::extended(), false);
+    let (base_secs, base, base_blif) = timed(net, &SubstOptions::extended());
     let base_pairs = base.candidates_enumerated + base.filtered_by_index;
     let base_rate = base_pairs as f64 / base_secs;
     let mut rows = Vec::new();
@@ -708,7 +630,7 @@ fn parallel_scaling(net: &Network) -> Vec<SweepRow> {
         let (secs, stats, blif) = if threads == 1 {
             (base_secs, base, base_blif.clone())
         } else {
-            timed(net, &opts, false)
+            timed(net, &opts)
         };
         assert_eq!(
             blif, base_blif,
@@ -770,10 +692,10 @@ fn parallel_scaling(net: &Network) -> Vec<SweepRow> {
 
 fn main() {
     // --smoke: a CI-sized run — one padding level, one seed, and a small
-    // engine-vs-legacy workload — exercising the full measurement and
+    // scaling workload — exercising the full measurement and
     // BENCH_sweep.json plumbing in seconds.
     // --trace <out.jsonl> / --chrome-trace <out.json>: after the timing
-    // comparison, re-run each mode with a tracer attached and export the
+    // runs, re-run each mode with a tracer attached and export the
     // recorded spans (JSONL events / chrome://tracing format).
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -842,7 +764,8 @@ fn main() {
          with padding — at 0 the two coincide, past the crossover only the\n\
          decomposing divider can reach the buried cores)"
     );
-    let (net, rows) = engine_vs_legacy(smoke);
+    let net = scaling_workload(smoke);
+    let rows = parallel_scaling(&net);
     let node_rows = node_sweep(smoke);
     let disc_rows = discovery_sweep(smoke);
     let json = json_array_pretty(

@@ -257,7 +257,7 @@ fn validate_bench_sweep(text: &str) -> Result<(), String> {
     for (i, row) in rows.iter().enumerate() {
         let res = match row.get("kind").and_then(Json::as_str) {
             None => {
-                // Engine-vs-legacy and extended_mt scaling rows.
+                // extended_mt scaling rows.
                 check_keys(
                     row,
                     &[

@@ -3,6 +3,7 @@
 //! resubstitution methods on identically-prepared circuits and prints
 //! rows in the paper's format.
 
+pub mod golden;
 pub mod timing;
 
 use boolsubst_algebraic::{algebraic_resub, network_factored_literals, ResubOptions};

@@ -150,10 +150,10 @@ pub trait CandidateSource {
     }
 }
 
-/// The pre-redesign support-overlap index: divisor candidates are the
-/// fanouts of the target's fanins, which is exactly the set passing the
-/// legacy support-overlap filter. Stateless; pinned bit-identical to the
-/// hard-wired enumeration by `tests/engine_parity.rs`.
+/// The support-overlap index: divisor candidates are the fanouts of the
+/// target's fanins, i.e. exactly the divisors whose support overlaps the
+/// target's. Stateless; its results are pinned absolutely by the golden
+/// quality table (`tests/golden_quality.txt`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OverlapIndex;
 
@@ -176,20 +176,6 @@ impl OverlapIndex {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    pub(crate) fn count_skipped(
-        ctx: &SourceCtx<'_>,
-        proposed: usize,
-        bound: usize,
-        cursor: Option<NodeId>,
-    ) -> usize {
-        let eligible = ctx
-            .net
-            .internal_ids()
-            .filter(|id| id.index() < bound && cursor.is_none_or(|c| *id > c))
-            .count();
-        eligible.saturating_sub(proposed)
     }
 }
 
@@ -215,7 +201,12 @@ impl CandidateSource for OverlapIndex {
         bound: usize,
         cursor: Option<NodeId>,
     ) -> usize {
-        OverlapIndex::count_skipped(ctx, proposed, bound, cursor)
+        let eligible = ctx
+            .net
+            .internal_ids()
+            .filter(|id| id.index() < bound && cursor.is_none_or(|c| *id > c))
+            .count();
+        eligible.saturating_sub(proposed)
     }
 }
 
@@ -317,63 +308,5 @@ pub(crate) fn build_source(discovery: Discovery) -> Box<dyn CandidateSource> {
     match discovery {
         Discovery::Overlap | Discovery::Auto => Box::new(OverlapIndex),
         Discovery::Signature => Box::new(SignatureClasses::new()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use boolsubst_cube::parse_sop;
-
-    fn sample() -> (Network, NodeId, NodeId) {
-        let mut net = Network::new("cand_t");
-        let a = net.add_input("a").expect("a");
-        let b = net.add_input("b").expect("b");
-        let c = net.add_input("c").expect("c");
-        let f = net
-            .add_node(
-                "f",
-                vec![a, b, c],
-                parse_sop(3, "ab + ac + bc'").expect("p"),
-            )
-            .expect("f");
-        let d = net
-            .add_node("d", vec![a, b, c], parse_sop(3, "ab + c").expect("p"))
-            .expect("d");
-        net.add_output("f", f).expect("o");
-        net.add_output("d", d).expect("o");
-        (net, f, d)
-    }
-
-    /// The trait impl must reproduce the deprecated engine entry points
-    /// exactly — same candidates, same skipped count.
-    #[test]
-    #[allow(deprecated)]
-    fn overlap_source_matches_deprecated_engine_shims() {
-        let (mut net, f, d) = sample();
-        let bound = net.id_bound();
-        let mut engine = crate::engine::SubstEngine::new(&mut net, crate::SubstOptions::basic());
-        for target in [f, d] {
-            for cursor in [None, Some(f)] {
-                let via_shim = engine.candidates(target, bound, cursor);
-                let skipped0 = engine.stats().filtered_by_index;
-                engine.count_skipped(via_shim.len(), bound, cursor);
-                let shim_skipped = engine.stats().filtered_by_index - skipped0;
-                let ctx = SourceCtx {
-                    net: &*engine.net,
-                    side: &engine.side,
-                    sim: None,
-                };
-                let mut source = OverlapIndex;
-                let iter = source.candidates(&ctx, target, bound, cursor);
-                assert_eq!(iter.bucket_hits(), 0);
-                let via_trait = iter.into_vec();
-                assert_eq!(via_trait, via_shim);
-                assert_eq!(
-                    source.skipped(&ctx, via_trait.len(), bound, cursor),
-                    shim_skipped
-                );
-            }
-        }
     }
 }

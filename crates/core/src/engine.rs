@@ -1,44 +1,41 @@
-//! The incremental substitution engine: a persistent sweep session that
-//! replaces the legacy per-pair recomputation with maintained state.
+//! The incremental substitution engine: a persistent sweep session over
+//! maintained state instead of per-pair recomputation.
 //!
-//! [`crate::subst::boolean_substitute_legacy`] answers every structural
-//! question from scratch: each (target, divisor) pair recomputes the
-//! target's transitive fanout (a full-graph traversal), every target
-//! enumerates *all* internal nodes as divisor candidates, and the GDC mode
-//! re-materializes the entire network as a gate circuit per pair. All of
-//! that is loop-invariant or nearly so, which makes the sweep quadratic in
-//! practice.
+//! A naive sweep answers every structural question from scratch: each
+//! (target, divisor) pair recomputes the target's transitive fanout (a
+//! full-graph traversal), every target enumerates *all* internal nodes as
+//! divisor candidates, and the GDC mode re-materializes the entire network
+//! as a gate circuit per pair. All of that is loop-invariant or nearly
+//! so, which makes the sweep quadratic in practice.
 //!
 //! [`SubstEngine`] keeps session state instead:
 //!
 //! * a [`SideTables`] instance — incrementally maintained fanout lists,
 //!   levels, and memoized transitive fanouts, patched locally after each
 //!   accepted rewrite rather than recomputed per query;
-//! * a **support-overlap candidate index** — the only divisors worth
-//!   trying are fanouts of the target's fanins (exactly the legacy
-//!   support-overlap filter, applied in reverse), so candidate enumeration
-//!   is proportional to the local fanout neighbourhood, not the network;
+//! * a pluggable [`CandidateSource`] — by default the support-overlap
+//!   index, whose only divisors worth trying are fanouts of the target's
+//!   fanins, so candidate enumeration is proportional to the local fanout
+//!   neighbourhood, not the network;
 //! * a per-target **shadow circuit** ([`ShadowBase`]) for the GDC mode —
 //!   the network minus the target's cone is materialized once per target
 //!   and each attempt patches only the dirty region;
 //! * stage-level [`SubstStats`] observability.
 //!
-//! The engine is pinned to the legacy sweep: it visits the same surviving
-//! pairs in the same order and therefore accepts bit-identical rewrites
-//! (`tests/engine_parity.rs`). The index only skips pairs the legacy
-//! filters reject before any side effect, and after an acceptance the
-//! candidate set is re-enumerated from the target's *new* fanins, resuming
-//! past the accepted divisor — reproducing the legacy visit sequence
-//! exactly.
+//! Targets are visited largest cover first; after an acceptance the
+//! candidate set is re-enumerated from the target's *new* fanins,
+//! resuming past the accepted divisor. The accepted rewrites of every
+//! configuration are pinned absolutely — counters, final literals and
+//! output hash — by the golden quality table (`tests/golden_quality.txt`).
 
-use crate::candidates::{build_source, CandidateSource, OverlapIndex, SourceCtx};
+use crate::candidates::{build_source, CandidateSource, SourceCtx};
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    try_pair_core, Acceptance, Discovery, GdcScope, SubstMode, SubstOptions, SubstStats,
+    filter_pair, try_pair_core, Acceptance, Discovery, GdcScope, SubstMode, SubstOptions,
+    SubstStats,
 };
 use crate::txn::TxnSnapshot;
-use boolsubst_algebraic::JointSpace;
 use boolsubst_cube::Cover;
 use boolsubst_guard::{Guard, GuardDecision};
 use boolsubst_metrics::MetricsHandle;
@@ -310,6 +307,11 @@ impl<'a> SubstEngine<'a> {
         let mut engine = SubstEngine::new(net, opts);
         tracer.set_node_names(node_names(engine.net));
         tracer.set_discovery(engine.stats.discovery.name());
+        if engine.stats.sim_nanos > 0 {
+            // The sim filter was built before the tracer attached; book
+            // it so the trace's stage totals match the stats.
+            tracer.stage(Stage::Sim, engine.stats.sim_nanos);
+        }
         engine.tracer = Some(tracer);
         engine
     }
@@ -408,8 +410,7 @@ impl<'a> SubstEngine<'a> {
         self.stats
     }
 
-    /// One sweep over all targets, largest cover first (matching the
-    /// legacy order).
+    /// One sweep over all targets, largest cover first.
     fn run_pass(&mut self) {
         let t0 = Instant::now();
         let mut targets: Vec<NodeId> = self.net.internal_ids().collect();
@@ -543,40 +544,6 @@ impl<'a> SubstEngine<'a> {
         Some(decision)
     }
 
-    /// Divisor candidates for `target` from the hard-wired support-overlap
-    /// index: the fanouts of its fanins, restricted to ids below `bound`
-    /// and above `cursor`, sorted ascending.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `SubstOptions::with_discovery` and the `crate::candidates::CandidateSource` trait; the engine enumerates through its configured source"
-    )]
-    #[must_use]
-    pub fn candidates(&self, target: NodeId, bound: usize, cursor: Option<NodeId>) -> Vec<NodeId> {
-        let ctx = SourceCtx {
-            net: &*self.net,
-            side: &self.side,
-            sim: self.sim.as_ref(),
-        };
-        OverlapIndex::enumerate(&ctx, target, bound, cursor)
-    }
-
-    /// Books into `stats.filtered_by_index` the internal nodes the legacy
-    /// sweep would have visited in the same range that the overlap index
-    /// skipped.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `SubstOptions::with_discovery` and the `crate::candidates::CandidateSource` trait; the engine enumerates through its configured source"
-    )]
-    pub fn count_skipped(&mut self, candidates: usize, bound: usize, cursor: Option<NodeId>) {
-        let ctx = SourceCtx {
-            net: &*self.net,
-            side: &self.side,
-            sim: self.sim.as_ref(),
-        };
-        self.stats.filtered_by_index +=
-            OverlapIndex::count_skipped(&ctx, candidates, bound, cursor);
-    }
-
     /// One candidate enumeration through the configured
     /// [`CandidateSource`]: flushes the sim filter first when signature
     /// discovery needs current bucket keys, books the per-source funnel
@@ -645,8 +612,7 @@ impl<'a> SubstEngine<'a> {
                         self.attempt(target, divisor);
                         if self.stats.substitutions != before {
                             // The target's fanins changed: re-enumerate
-                            // candidates and resume past this divisor,
-                            // like the legacy loop continuing in place.
+                            // candidates and resume past this divisor.
                             cursor = Some(divisor);
                             continue 'resume;
                         }
@@ -762,36 +728,17 @@ impl<'a> SubstEngine<'a> {
             self.filter_reject(t0, Outcome::GuardRejected);
             return None;
         }
-        // Candidates are fanouts, hence internal; only the self-pair and
-        // existing-fanin checks remain from the legacy structural filter.
-        if target == divisor || self.net.node(target).fanins().contains(&divisor) {
-            self.stats.filtered_structural += 1;
-            self.filter_reject(t0, Outcome::RejectedStructural);
-            return None;
-        }
-        if self.side.in_tfo(self.net, divisor, target) {
-            self.stats.filtered_tfo += 1;
-            self.filter_reject(t0, Outcome::RejectedTfo);
-            return None;
-        }
-        // Candidates come from fanout lists, so a missing cover means the
-        // index and the network disagree — reject rather than panic.
-        let Some(d_cover_len) = self.net.node(divisor).cover().map(Cover::len) else {
-            self.stats.filtered_structural += 1;
-            self.filter_reject(t0, Outcome::RejectedStructural);
-            return None;
+        let (net, side) = (&*self.net, &mut self.side);
+        let filtered = filter_pair(net, target, divisor, &self.opts, &mut self.stats, || {
+            side.in_tfo(net, divisor, target)
+        });
+        let space = match filtered {
+            Ok(space) => space,
+            Err(outcome) => {
+                self.filter_reject(t0, outcome);
+                return None;
+            }
         };
-        if d_cover_len == 0 || d_cover_len > self.opts.max_divisor_cubes.get() {
-            self.stats.filtered_divisor_size += 1;
-            self.filter_reject(t0, Outcome::RejectedDivisorSize);
-            return None;
-        }
-        let space = JointSpace::union_of_fanins(self.net, &[target, divisor]);
-        if space.len() > self.opts.max_joint_vars {
-            self.stats.filtered_joint_space += 1;
-            self.filter_reject(t0, Outcome::RejectedJointSpace);
-            return None;
-        }
         let dt = nanos(t0);
         self.stats.filter_nanos += dt;
         if let Some(t) = self.tracer.as_deref_mut() {
@@ -922,14 +869,14 @@ impl<'a> SubstEngine<'a> {
                 }
             }
         }
-        let dt1 = nanos(t1);
-        self.stats.divide_nanos += dt1;
+        // The core's screen time already landed in `sim_nanos`; only the
+        // remainder is division proper, in the stats and the trace alike.
+        let sim_delta = self.stats.sim_nanos - sim_nanos0;
+        let divide_ns = nanos(t1).saturating_sub(sim_delta);
+        self.stats.divide_nanos += divide_ns;
         if let Some(t) = self.tracer.as_deref_mut() {
-            // The core's screen time lands in `sim_nanos`; attribute it to
-            // the sim stage and only the remainder to division proper.
-            let sim_delta = self.stats.sim_nanos - sim_nanos0;
             t.stage(Stage::Sim, sim_delta);
-            t.stage(Stage::Divide, dt1.saturating_sub(sim_delta));
+            t.stage(Stage::Divide, divide_ns);
             t.set_rar_checks((self.stats.rar_checks - rar_checks0) as u64);
         }
 
@@ -1029,10 +976,7 @@ impl<'a> SubstEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Session;
-    use crate::subst::boolean_substitute_legacy;
     use boolsubst_cube::parse_sop;
-    use boolsubst_network::write_blif;
 
     fn small_net() -> Network {
         let mut net = Network::new("engine_t");
@@ -1052,33 +996,6 @@ mod tests {
         net.add_output("f", f).expect("o");
         net.add_output("d", d).expect("o");
         net
-    }
-
-    #[test]
-    fn engine_matches_legacy_on_paper_example() {
-        for opts in crate::subst::all_configs() {
-            let mut legacy_net = small_net();
-            let legacy = boolean_substitute_legacy(&mut legacy_net, &opts);
-            let mut engine_net = small_net();
-            let engine = Session::new(&mut engine_net, opts.clone()).run();
-            assert_eq!(
-                engine.substitutions, legacy.substitutions,
-                "{:?}",
-                opts.mode
-            );
-            assert_eq!(engine.literal_gain, legacy.literal_gain, "{:?}", opts.mode);
-            assert_eq!(
-                engine.divisions_tried, legacy.divisions_tried,
-                "{:?}",
-                opts.mode
-            );
-            assert_eq!(
-                write_blif(&engine_net),
-                write_blif(&legacy_net),
-                "{:?} rewrites diverged",
-                opts.mode
-            );
-        }
     }
 
     #[test]

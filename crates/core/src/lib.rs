@@ -15,13 +15,11 @@
 //! * [`engine`] — the incremental sweep engine: cached side tables,
 //!   pluggable candidate discovery, shadow circuits, stage stats;
 //! * [`candidates`] — the [`CandidateSource`] divisor-discovery seam:
-//!   [`OverlapIndex`] (the support-overlap index, bit-identical default)
+//!   [`OverlapIndex`] (the support-overlap index, the default)
 //!   and [`SignatureClasses`] (sim-resub signature-class proposal),
 //!   selected by [`SubstOptions::with_discovery`];
 //! * [`session`] — the [`Session`] builder, the one blessed entry point
 //!   for running a sweep (tracing, thread count, options);
-//! * [`legacy`] — `#[deprecated]` shims for the pre-`Session` free
-//!   functions;
 //! * [`netcircuit`] — whole-network gate materialization for the global
 //!   don't-care mode;
 //! * [`txn`] — transactional snapshots powering the checked-apply mode's
@@ -48,7 +46,6 @@ pub mod division;
 pub mod dontcare;
 pub mod engine;
 pub mod extended;
-pub mod legacy;
 mod metrics;
 pub mod netcircuit;
 pub mod paper;
@@ -78,12 +75,6 @@ pub use extended::{
 pub use netcircuit::{network_from_circuit, NetCircuit, NetworkRegion, ShadowBase};
 pub use session::Session;
 pub use sos::{is_pos_of_compl, is_sos_of, lemma1_holds, lemma2_holds};
-pub use subst::{
-    all_configs, boolean_substitute_legacy, Acceptance, Discovery, SubstMode, SubstOptions,
-    SubstStats,
-};
-
-#[allow(deprecated)]
-pub use legacy::{boolean_substitute, boolean_substitute_engine, boolean_substitute_traced};
+pub use subst::{all_configs, Acceptance, Discovery, SubstMode, SubstOptions, SubstStats};
 pub use txn::TxnSnapshot;
 pub use verify::{network_bdds, networks_equivalent, networks_equivalent_modulo_dc};

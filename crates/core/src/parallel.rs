@@ -55,10 +55,9 @@
 use crate::engine::{id32, nanos, ShadowEntry, SubstEngine};
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    plan_pair_core, Acceptance, GdcScope, PlanKind, SubstMode, SubstOptions, SubstPlan, SubstStats,
+    filter_pair, plan_pair_core, Acceptance, GdcScope, PlanKind, SubstMode, SubstOptions,
+    SubstPlan, SubstStats,
 };
-use boolsubst_algebraic::JointSpace;
-use boolsubst_cube::Cover;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimView;
 use boolsubst_trace::{Outcome, PairRecord, Stage, StageNanos};
@@ -116,91 +115,69 @@ fn speculate_pair(
     delta.candidates_enumerated += 1;
 
     let t0 = Instant::now();
-    let mut space: Option<JointSpace> = None;
-    let filtered: Option<Outcome> = 'filters: {
-        if quarantine.contains(&(target, divisor)) {
-            break 'filters Some(Outcome::GuardRejected);
-        }
-        if target == divisor || net.node(target).fanins().contains(&divisor) {
-            delta.filtered_structural += 1;
-            break 'filters Some(Outcome::RejectedStructural);
-        }
-        if side.in_tfo_frozen(net, divisor, target) {
-            delta.filtered_tfo += 1;
-            break 'filters Some(Outcome::RejectedTfo);
-        }
-        let Some(d_cover_len) = net.node(divisor).cover().map(Cover::len) else {
-            delta.filtered_structural += 1;
-            break 'filters Some(Outcome::RejectedStructural);
-        };
-        if d_cover_len == 0 || d_cover_len > opts.max_divisor_cubes.get() {
-            delta.filtered_divisor_size += 1;
-            break 'filters Some(Outcome::RejectedDivisorSize);
-        }
-        let js = JointSpace::union_of_fanins(net, &[target, divisor]);
-        if js.len() > opts.max_joint_vars {
-            delta.filtered_joint_space += 1;
-            break 'filters Some(Outcome::RejectedJointSpace);
-        }
-        space = Some(js);
-        None
+    let filtered = if quarantine.contains(&(target, divisor)) {
+        Err(Outcome::GuardRejected)
+    } else {
+        filter_pair(net, target, divisor, opts, &mut delta, || {
+            side.in_tfo_frozen(net, divisor, target)
+        })
     };
     let dt0 = nanos(t0);
     delta.filter_nanos += dt0;
     stages.add(Stage::Filter, dt0);
 
-    let (verdict, outcome) = if let Some(outcome) = filtered {
-        (SpecVerdict::Reject, outcome)
-    } else {
-        let space = space.expect("space is set when every filter passes");
-        // Mirrors `attempt`: the pair survived every cheap filter.
-        delta.discovery_proofs_run += 1;
-        let t1 = Instant::now();
-        let sim_nanos0 = delta.sim_nanos;
-        let planned = catch_unwind(AssertUnwindSafe(|| {
-            let scope = match shadow {
-                Some(base) => GdcScope::Shadow(base),
-                None => GdcScope::Rebuild,
-            };
-            plan_pair_core(
-                net,
-                target,
-                divisor,
-                &space,
-                opts,
-                &mut delta,
-                &scope,
-                sim.map(|v| v.filter()),
-                None,
-            )
-        }));
-        let dt1 = nanos(t1);
-        delta.divide_nanos += dt1;
-        let sim_delta = delta.sim_nanos - sim_nanos0;
-        stages.add(Stage::Sim, sim_delta);
-        stages.add(Stage::Divide, dt1.saturating_sub(sim_delta));
-        match planned {
-            Ok(Some(plan)) => {
-                gain = plan.gain();
-                let outcome = match &plan {
-                    SubstPlan::Replace {
-                        kind: PlanKind::Pos,
-                        ..
-                    } => Outcome::AcceptedPos,
-                    SubstPlan::Replace { .. } => Outcome::AcceptedSop,
-                    SubstPlan::Extended(_) => Outcome::AcceptedExtended,
+    let (verdict, outcome) = match filtered {
+        Err(outcome) => (SpecVerdict::Reject, outcome),
+        Ok(space) => {
+            // Mirrors `attempt`: the pair survived every cheap filter.
+            delta.discovery_proofs_run += 1;
+            let t1 = Instant::now();
+            let sim_nanos0 = delta.sim_nanos;
+            let planned = catch_unwind(AssertUnwindSafe(|| {
+                let scope = match shadow {
+                    Some(base) => GdcScope::Shadow(base),
+                    None => GdcScope::Rebuild,
                 };
-                (SpecVerdict::Accept, outcome)
+                plan_pair_core(
+                    net,
+                    target,
+                    divisor,
+                    &space,
+                    opts,
+                    &mut delta,
+                    &scope,
+                    sim.map(|v| v.filter()),
+                    None,
+                )
+            }));
+            let sim_delta = delta.sim_nanos - sim_nanos0;
+            let divide_ns = nanos(t1).saturating_sub(sim_delta);
+            delta.divide_nanos += divide_ns;
+            stages.add(Stage::Sim, sim_delta);
+            stages.add(Stage::Divide, divide_ns);
+            match planned {
+                Ok(Some(plan)) => {
+                    gain = plan.gain();
+                    let outcome = match &plan {
+                        SubstPlan::Replace {
+                            kind: PlanKind::Pos,
+                            ..
+                        } => Outcome::AcceptedPos,
+                        SubstPlan::Replace { .. } => Outcome::AcceptedSop,
+                        SubstPlan::Extended(_) => Outcome::AcceptedExtended,
+                    };
+                    (SpecVerdict::Accept, outcome)
+                }
+                Ok(None) => {
+                    let outcome = if delta.sim_pairs_refuted > 0 {
+                        Outcome::RejectedSimRefuted
+                    } else {
+                        Outcome::RejectedNoGain
+                    };
+                    (SpecVerdict::Reject, outcome)
+                }
+                Err(_) => (SpecVerdict::Fault, Outcome::EngineFault),
             }
-            Ok(None) => {
-                let outcome = if delta.sim_pairs_refuted > 0 {
-                    Outcome::RejectedSimRefuted
-                } else {
-                    Outcome::RejectedNoGain
-                };
-                (SpecVerdict::Reject, outcome)
-            }
-            Err(_) => (SpecVerdict::Fault, Outcome::EngineFault),
         }
     };
     let rec = record.then(|| PairRecord {

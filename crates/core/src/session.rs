@@ -1,11 +1,6 @@
 //! The unified substitution entry point: one builder for every way of
-//! running the sweep.
-//!
-//! Historically the crate grew one free function per feature —
-//! `boolean_substitute`, `boolean_substitute_traced`,
-//! `boolean_substitute_engine` — each a thin spelling of "construct a
-//! [`SubstEngine`], maybe attach things, run". [`Session`] collapses them
-//! into a single builder:
+//! running the sweep — construct a [`SubstEngine`], maybe attach a
+//! tracer, a metrics handle or a thread count, run:
 //!
 //! ```
 //! use boolsubst_core::{Session, SubstOptions};
@@ -20,9 +15,6 @@
 //!     .threads(4)
 //!     .run();
 //! ```
-//!
-//! The old free functions survive as `#[deprecated]` shims in
-//! [`crate::legacy`].
 
 use crate::engine::SubstEngine;
 use crate::subst::{SubstOptions, SubstStats};

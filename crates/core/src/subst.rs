@@ -46,20 +46,20 @@ impl SubstMode {
 /// How the sweep discovers candidate divisors for each target — the
 /// strategy behind the [`crate::candidates::CandidateSource`] seam.
 ///
-/// [`Discovery::Overlap`] is the original support-overlap index and is
-/// pinned bit-identical to the pre-`CandidateSource` sweep
-/// (`tests/engine_parity.rs`). [`Discovery::Signature`] is the
+/// [`Discovery::Overlap`] is the original support-overlap index.
+/// [`Discovery::Signature`] is the
 /// simulation-guided proposer of arXiv 2007.02579: divisors come from
 /// equal / complement / containment signature classes over the sim
 /// filter's pattern pool, so the division proof runs only on near-certain
 /// survivors. Signature discovery visits a different (usually much
 /// smaller) pair set, so its rewrites are *sound* — every acceptance
 /// still passes the full division proof (and the guard, in checked mode)
-/// — but not bit-identical to overlap discovery.
+/// — but not bit-identical to overlap discovery. Both strategies' results
+/// are pinned per circuit and configuration by the golden quality table
+/// (`tests/golden_quality.txt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Discovery {
-    /// Fanouts-of-fanins support-overlap enumeration (the default; the
-    /// pre-redesign behaviour, bit-identical).
+    /// Fanouts-of-fanins support-overlap enumeration (the default).
     #[default]
     Overlap,
     /// Signature-class proposal over the sim filter's pattern pool.
@@ -140,16 +140,16 @@ pub struct SubstOptions {
     pub max_passes: NonZeroUsize,
     /// Acceptance policy (paper: first positive gain).
     pub acceptance: Acceptance,
-    /// Divisor-discovery strategy (engine path only). The default,
-    /// [`Discovery::Overlap`], is pinned bit-identical to the pre-redesign
-    /// sweep; [`Discovery::Signature`] proposes divisors from signature
-    /// classes and requires the sim filter.
+    /// Divisor-discovery strategy. The default, [`Discovery::Overlap`],
+    /// enumerates the support-overlap neighbourhood;
+    /// [`Discovery::Signature`] proposes divisors from signature classes
+    /// and requires the sim filter.
     pub discovery: Discovery,
-    /// Simulation-signature pre-filter (engine path only). Refute-only:
+    /// Simulation-signature pre-filter. Refute-only:
     /// the screen never rejects a pair the proofs would accept, so the
     /// accepted rewrites are identical with the filter on or off.
     pub sim: SimConfig,
-    /// Checked apply (engine path only): every accepted rewrite is
+    /// Checked apply: every accepted rewrite is
     /// re-verified by the post-apply guard pipeline against the
     /// reconstructed pre-state, refuted moves are rolled back and the pair
     /// quarantined, and per-pair work runs under panic isolation. On a
@@ -160,12 +160,12 @@ pub struct SubstOptions {
     /// run (`sim → BDD → SAT`), the BDD node limit, and the SAT conflict
     /// budget. Ignored when [`SubstOptions::checked`] is off.
     pub guard: GuardConfig,
-    /// Wall-clock deadline (engine path only): once reached, the sweep
+    /// Wall-clock deadline: once reached, the sweep
     /// stops between pair attempts and returns the valid partial result
     /// with [`SubstStats::interrupted`] set. Each attempt is atomic, so
     /// the network is never left mid-rewrite. Default none.
     pub deadline: Option<Instant>,
-    /// Worker threads for the speculative sweep (engine path only).
+    /// Worker threads for the speculative sweep.
     /// `1` (the default) runs the plain sequential engine; `N > 1` runs
     /// the epoch-parallel sweep, which under [`Acceptance::FirstGain`]
     /// commits in pair order and is bit-identical to the sequential
@@ -358,13 +358,11 @@ pub fn all_configs() -> [SubstOptions; 3] {
 /// Statistics of a substitution run, with stage-level observability.
 ///
 /// The acceptance-relevant fields (`substitutions`, `pos_substitutions`,
-/// `extended_decompositions`, `literal_gain`, `divisions_tried`) are
-/// identical between [`crate::session::Session`] (the
-/// [`crate::engine::SubstEngine`] path) and [`boolean_substitute_legacy`]. The stage counters describe
-/// *how* each path got there and differ by construction: the legacy sweep
-/// enumerates every (target, divisor) pair and rejects most of them one
-/// filter at a time, while the engine's support-overlap index never
-/// surfaces those pairs in the first place (`filtered_by_index`).
+/// `extended_decompositions`, `literal_gain`, `divisions_tried`,
+/// `passes`) are pinned per circuit and configuration by the golden
+/// quality table (`tests/golden_quality.txt`). The stage counters describe
+/// *how* the sweep got there; pairs the candidate source never surfaces
+/// are counted in `filtered_by_index`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubstStats {
     /// Division attempts (pairs surviving every filter).
@@ -401,7 +399,7 @@ pub struct SubstStats {
     /// Candidate pairs individually examined.
     pub candidates_enumerated: usize,
     /// Pairs the support-overlap index skipped without examining
-    /// (engine path only; approximate across mid-target re-enumerations).
+    /// (approximate across mid-target re-enumerations).
     pub filtered_by_index: usize,
     /// Pairs rejected as self/input/existing-fanin pairs.
     pub filtered_structural: usize,
@@ -412,16 +410,13 @@ pub struct SubstStats {
     pub filtered_divisor_size: usize,
     /// Pairs rejected by the joint-variable-space bound.
     pub filtered_joint_space: usize,
-    /// Pairs rejected because the supports do not overlap (legacy path
-    /// only — the engine's index implies overlap).
-    pub filtered_support: usize,
     /// Fault checks run by whole-network (GDC) redundancy removal.
     pub rar_checks: usize,
     /// GDC attempts that reused the per-target shadow-circuit snapshot.
     pub shadow_cache_hits: usize,
     /// GDC shadow-circuit snapshots built from scratch.
     pub shadow_cache_misses: usize,
-    /// Pairs screened by the simulation filter (engine path with
+    /// Pairs screened by the simulation filter (with
     /// [`SubstOptions::sim`] enabled).
     pub sim_pairs_screened: usize,
     /// Pairs rejected purely by signature witnesses — every applicable
@@ -439,16 +434,18 @@ pub struct SubstStats {
     pub sim_patterns: usize,
     /// Signature width in 64-bit words.
     pub sim_words: usize,
-    /// Wall time enumerating targets and candidates (engine path).
+    /// Wall time enumerating targets and candidates.
     pub enumerate_nanos: u64,
-    /// Wall time in the cheap per-pair filters (engine path).
+    /// Wall time in the cheap per-pair filters.
     pub filter_nanos: u64,
-    /// Wall time dividing and evaluating gains (engine path).
+    /// Wall time dividing and evaluating gains, plus checked mode's
+    /// snapshot, guard and rollback; the division core's sim screen is
+    /// booked to `sim_nanos` only.
     pub divide_nanos: u64,
-    /// Wall time patching side tables after acceptances (engine path).
+    /// Wall time patching side tables after acceptances.
     pub apply_nanos: u64,
-    /// Wall time screening pairs, refining the pool, and patching
-    /// signatures (engine path).
+    /// Wall time building the sim filter, screening pairs, refining the
+    /// pool, and patching signatures.
     pub sim_nanos: u64,
     /// Accepted rewrites the checked-mode guard refuted and rolled back.
     pub guard_rejections: usize,
@@ -497,17 +494,15 @@ impl fmt::Display for SubstStats {
         writeln!(f, "  skipped by index       {:>8}", self.filtered_by_index)?;
         writeln!(
             f,
-            "  filtered               {:>8}  (structural {}, tfo {}, divisor-size {}, joint-space {}, support {})",
+            "  filtered               {:>8}  (structural {}, tfo {}, divisor-size {}, joint-space {})",
             self.filtered_structural
                 + self.filtered_tfo
                 + self.filtered_divisor_size
-                + self.filtered_joint_space
-                + self.filtered_support,
+                + self.filtered_joint_space,
             self.filtered_structural,
             self.filtered_tfo,
             self.filtered_divisor_size,
             self.filtered_joint_space,
-            self.filtered_support,
         )?;
         writeln!(f, "  divisions tried        {:>8}", self.divisions_tried)?;
         writeln!(
@@ -618,7 +613,6 @@ impl SubstStats {
         self.filtered_joint_space = self
             .filtered_joint_space
             .saturating_add(other.filtered_joint_space);
-        self.filtered_support = self.filtered_support.saturating_add(other.filtered_support);
         self.rar_checks = self.rar_checks.saturating_add(other.rar_checks);
         self.shadow_cache_hits = self
             .shadow_cache_hits
@@ -682,7 +676,6 @@ impl SubstStats {
             .u64("filtered_tfo", u(self.filtered_tfo))
             .u64("filtered_divisor_size", u(self.filtered_divisor_size))
             .u64("filtered_joint_space", u(self.filtered_joint_space))
-            .u64("filtered_support", u(self.filtered_support))
             .u64("rar_checks", u(self.rar_checks))
             .u64("shadow_cache_hits", u(self.shadow_cache_hits))
             .u64("shadow_cache_misses", u(self.shadow_cache_misses))
@@ -761,17 +754,20 @@ fn factored_gain(net: &Network, target: NodeId, new_cover: &Cover) -> i64 {
 /// How the GDC mode materializes the whole-network circuit for one
 /// division attempt.
 pub(crate) enum GdcScope<'a> {
-    /// Rebuild the circuit from scratch per attempt (the pre-engine
-    /// behaviour, kept as the parity baseline).
+    /// Rebuild the circuit from scratch per attempt — the path taken
+    /// when no shadow snapshot is at hand (best-gain dry runs, and every
+    /// non-GDC attempt, where the scope is unused).
     Rebuild,
     /// Clone a per-target snapshot and patch only the dirty region.
     Shadow(&'a ShadowBase),
 }
 
-/// One substitution attempt of `divisor` into `target` with the legacy
-/// per-pair filters. Applies the first strategy with positive gain (the
-/// paper's locally greedy acceptance) and returns the gain, or `None` if
-/// nothing helped.
+/// One self-contained substitution attempt of `divisor` into `target`:
+/// the per-pair filters recomputed from scratch, then the division core.
+/// Applies the first strategy with positive gain (the paper's locally
+/// greedy acceptance) and returns the gain, or `None` if nothing helped.
+/// The best-gain dry runs use it on scratch clones, whose stats are
+/// discarded.
 pub(crate) fn try_pair(
     net: &mut Network,
     target: NodeId,
@@ -780,32 +776,10 @@ pub(crate) fn try_pair(
     stats: &mut SubstStats,
 ) -> Option<i64> {
     stats.candidates_enumerated += 1;
-    if target == divisor
-        || net.node(target).is_input()
-        || net.node(divisor).is_input()
-        || net.node(target).fanins().contains(&divisor)
-    {
-        stats.filtered_structural += 1;
-        return None;
-    }
-    if net.in_tfo(divisor, target) {
-        stats.filtered_tfo += 1;
-        return None;
-    }
-    let Some(d_cover_len) = net.node(divisor).cover().map(Cover::len) else {
-        // Unreachable after the is_input filter; reject rather than panic.
-        stats.filtered_structural += 1;
-        return None;
-    };
-    if d_cover_len == 0 || d_cover_len > opts.max_divisor_cubes.get() {
-        stats.filtered_divisor_size += 1;
-        return None;
-    }
-    let space = JointSpace::union_of_fanins(net, &[target, divisor]);
-    if space.len() > opts.max_joint_vars {
-        stats.filtered_joint_space += 1;
-        return None;
-    }
+    let space = filter_pair(net, target, divisor, opts, stats, || {
+        net.in_tfo(divisor, target)
+    })
+    .ok()?;
     // Cheap relevance filter: supports must overlap.
     let t_fanins = net.node(target).fanins();
     if !net
@@ -814,7 +788,6 @@ pub(crate) fn try_pair(
         .iter()
         .any(|f| t_fanins.contains(f))
     {
-        stats.filtered_support += 1;
         return None;
     }
     try_pair_core(
@@ -828,6 +801,44 @@ pub(crate) fn try_pair(
         None,
         None,
     )
+}
+
+/// The cheap per-pair filters every attempt path runs before any proof,
+/// in a fixed order: self-pair or existing fanin, cycle (`in_tfo` is the
+/// caller's transitive-fanout query — recomputed, cached or frozen),
+/// divisor cube count, joint variable space. Returns the joint space of
+/// a surviving pair, or the reject outcome after counting it in `stats`.
+pub(crate) fn filter_pair(
+    net: &Network,
+    target: NodeId,
+    divisor: NodeId,
+    opts: &SubstOptions,
+    stats: &mut SubstStats,
+    in_tfo: impl FnOnce() -> bool,
+) -> Result<JointSpace, Outcome> {
+    if target == divisor || net.node(target).fanins().contains(&divisor) {
+        stats.filtered_structural += 1;
+        return Err(Outcome::RejectedStructural);
+    }
+    if in_tfo() {
+        stats.filtered_tfo += 1;
+        return Err(Outcome::RejectedTfo);
+    }
+    // A divisor without a cover is a primary input.
+    let Some(cubes) = net.node(divisor).cover().map(Cover::len) else {
+        stats.filtered_structural += 1;
+        return Err(Outcome::RejectedStructural);
+    };
+    if cubes == 0 || cubes > opts.max_divisor_cubes.get() {
+        stats.filtered_divisor_size += 1;
+        return Err(Outcome::RejectedDivisorSize);
+    }
+    let space = JointSpace::union_of_fanins(net, &[target, divisor]);
+    if space.len() > opts.max_joint_vars {
+        stats.filtered_joint_space += 1;
+        return Err(Outcome::RejectedJointSpace);
+    }
+    Ok(space)
 }
 
 /// Notes the decided outcome on the attached tracer, if any.
@@ -900,9 +911,8 @@ impl SubstPlan {
 /// the structural, cycle, size, and support-overlap filters.
 ///
 /// Composition of [`plan_pair_core`] (read-only evaluation) and
-/// [`apply_plan`] (the mutation); the sequential engine and the legacy
-/// sweep both go through here, the parallel sweep calls the two halves
-/// separately.
+/// [`apply_plan`] (the mutation); the sequential engine goes through
+/// here, the parallel sweep calls the two halves separately.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_pair_core(
     net: &mut Network,
@@ -1407,60 +1417,6 @@ fn divide_in_network(
     }
     let quotient = region.read_quotient();
     (!quotient.is_empty()).then_some((quotient, remainder))
-}
-
-/// The pre-engine per-pair sweep: every (target, divisor) pair is visited
-/// and every structural query recomputed on the spot. Kept as the parity
-/// baseline the engine is pinned against (and for A/B benchmarking).
-pub fn boolean_substitute_legacy(net: &mut Network, opts: &SubstOptions) -> SubstStats {
-    let mut stats = SubstStats::default();
-    for _ in 0..opts.max_passes.get() {
-        stats.passes += 1;
-        let before = stats.substitutions;
-        let mut targets: Vec<NodeId> = net.internal_ids().collect();
-        targets.sort_by_key(|&id| {
-            std::cmp::Reverse(net.node(id).cover().map_or(0, Cover::literal_count))
-        });
-        for target in targets {
-            if net.node_opt(target).is_none() {
-                continue;
-            }
-            let divisors: Vec<NodeId> = net.internal_ids().collect();
-            match opts.acceptance {
-                Acceptance::FirstGain => {
-                    for divisor in divisors {
-                        if net.node_opt(target).is_none() || net.node_opt(divisor).is_none() {
-                            continue;
-                        }
-                        let _ = try_pair(net, target, divisor, opts, &mut stats);
-                    }
-                }
-                Acceptance::BestGain => {
-                    // Dry-run every divisor on a scratch copy, then apply
-                    // only the best one for real.
-                    let mut best: Option<(NodeId, i64)> = None;
-                    for &divisor in &divisors {
-                        let mut scratch = net.clone();
-                        let mut scratch_stats = SubstStats::default();
-                        if let Some(gain) =
-                            try_pair(&mut scratch, target, divisor, opts, &mut scratch_stats)
-                        {
-                            if best.is_none_or(|(_, g)| gain > g) {
-                                best = Some((divisor, gain));
-                            }
-                        }
-                    }
-                    if let Some((divisor, _)) = best {
-                        let _ = try_pair(net, target, divisor, opts, &mut stats);
-                    }
-                }
-            }
-        }
-        if stats.substitutions == before {
-            break;
-        }
-    }
-    stats
 }
 
 #[cfg(test)]

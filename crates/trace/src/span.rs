@@ -71,9 +71,6 @@ pub enum Outcome {
     RejectedDivisorSize,
     /// Rejected by the joint-variable-space bound.
     RejectedJointSpace,
-    /// Rejected by the support-overlap filter (legacy sweep only — the
-    /// engine's candidate index implies overlap; kept for completeness).
-    RejectedSupport,
     /// Rejected purely by simulation-signature witnesses, no proof ran.
     RejectedSimRefuted,
     /// Survived every filter but no division strategy produced gain.
@@ -88,7 +85,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Every outcome, acceptance kinds first.
-    pub const ALL: [Outcome; 12] = [
+    pub const ALL: [Outcome; 11] = [
         Outcome::AcceptedSop,
         Outcome::AcceptedPos,
         Outcome::AcceptedExtended,
@@ -96,7 +93,6 @@ impl Outcome {
         Outcome::RejectedTfo,
         Outcome::RejectedDivisorSize,
         Outcome::RejectedJointSpace,
-        Outcome::RejectedSupport,
         Outcome::RejectedSimRefuted,
         Outcome::RejectedNoGain,
         Outcome::GuardRejected,
@@ -117,7 +113,6 @@ impl Outcome {
             Outcome::RejectedTfo => "reject_tfo",
             Outcome::RejectedDivisorSize => "reject_divisor_size",
             Outcome::RejectedJointSpace => "reject_joint_space",
-            Outcome::RejectedSupport => "reject_support",
             Outcome::RejectedSimRefuted => "reject_sim_refuted",
             Outcome::RejectedNoGain => "reject_no_gain",
             Outcome::GuardRejected => "guard_rejected",
@@ -151,11 +146,10 @@ impl Outcome {
             Outcome::RejectedTfo => 4,
             Outcome::RejectedDivisorSize => 5,
             Outcome::RejectedJointSpace => 6,
-            Outcome::RejectedSupport => 7,
-            Outcome::RejectedSimRefuted => 8,
-            Outcome::RejectedNoGain => 9,
-            Outcome::GuardRejected => 10,
-            Outcome::EngineFault => 11,
+            Outcome::RejectedSimRefuted => 7,
+            Outcome::RejectedNoGain => 8,
+            Outcome::GuardRejected => 9,
+            Outcome::EngineFault => 10,
         }
     }
 }

@@ -1,17 +1,23 @@
 //! Exporter-level tests for the trace subsystem: the JSONL stream parses
 //! back field-for-field, the Chrome trace is a valid event array with
 //! monotonic timestamps per thread, and the tracer's reject-reason funnel
-//! reconciles exactly with the engine's `SubstStats` counters.
+//! and per-stage time totals reconcile exactly with the engine's
+//! `SubstStats` counters.
 
 use boolsubst::core::{all_configs, Session, SubstStats};
 use boolsubst::trace::export::{chrome_trace_string, jsonl_string};
 use boolsubst::trace::json::Json;
-use boolsubst::trace::{Outcome, TraceEvent, Tracer};
+use boolsubst::trace::{Outcome, Stage, TraceEvent, Tracer};
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
 use std::collections::HashMap;
 
 /// One traced run per mode on the same generated network.
 fn traced_runs() -> Vec<(Tracer, SubstStats)> {
+    traced_runs_at(1)
+}
+
+/// [`traced_runs`] at `threads` sweep workers.
+fn traced_runs_at(threads: usize) -> Vec<(Tracer, SubstStats)> {
     let base = random_network(11, &GeneratorParams::default());
     ["basic", "ext", "ext-gdc"]
         .into_iter()
@@ -19,7 +25,10 @@ fn traced_runs() -> Vec<(Tracer, SubstStats)> {
         .map(|(name, opts)| {
             let mut net = base.clone();
             let mut tracer = Tracer::new(name);
-            let stats = Session::new(&mut net, opts).tracer(&mut tracer).run();
+            let stats = Session::new(&mut net, opts)
+                .tracer(&mut tracer)
+                .threads(threads)
+                .run();
             (tracer, stats)
         })
         .collect()
@@ -201,9 +210,6 @@ fn funnel_reconciles_with_stats_counters() {
             stats.filtered_joint_space,
             "{mode}: joint space"
         );
-        // The engine's candidate index implies support overlap, so this
-        // outcome can never fire on the engine path.
-        assert_eq!(count(Outcome::RejectedSupport), 0, "{mode}: support");
         assert_eq!(
             count(Outcome::RejectedSimRefuted),
             stats.sim_pairs_refuted,
@@ -267,6 +273,31 @@ fn funnel_reconciles_with_stats_counters() {
                 .sum();
             assert_eq!(rar, 0, "{mode}: rar checks outside GDC");
             assert_eq!(tracer.shadow_stats().0, 0, "{mode}: shadow builds");
+        }
+    }
+}
+
+/// Stats, trace and metrics share one stage clock: every nanosecond the
+/// engine books to a `SubstStats` stage lands on the tracer's matching
+/// stage histogram — sequentially and through the speculative sweep.
+#[test]
+fn stage_totals_match_stats_at_one_and_two_threads() {
+    for threads in [1, 2] {
+        for (tracer, stats) in traced_runs_at(threads) {
+            for (stage, booked) in [
+                (Stage::Enumerate, stats.enumerate_nanos),
+                (Stage::Filter, stats.filter_nanos),
+                (Stage::Sim, stats.sim_nanos),
+                (Stage::Divide, stats.divide_nanos),
+                (Stage::Apply, stats.apply_nanos),
+            ] {
+                assert_eq!(
+                    tracer.stage_histogram(stage).sum_ns(),
+                    booked,
+                    "{} t{threads}: {stage:?} stage total",
+                    tracer.mode()
+                );
+            }
         }
     }
 }
