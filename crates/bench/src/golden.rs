@@ -29,7 +29,8 @@ pub const TABLE_PATH: &str = "tests/golden_quality.txt";
 const PARALLEL_SEEDS: [u64; 2] = [11, 47];
 
 /// Worker count for the parallel re-check of the overlap rows of random
-/// seeds 11 and 47 (see [`Case::parallel_checked`]).
+/// seeds 11 and 47 and of every [`Group::Policy`] row (see
+/// [`Case::parallel_checked`]).
 pub const PARALLEL_THREADS: usize = 4;
 
 /// Row families, one per test function so the families run in parallel.
@@ -44,7 +45,8 @@ pub enum Group {
     /// Planted networks (seeds 5/9).
     Planted,
     /// Random seed 29 and planted seed 9 under first- and best-gain
-    /// acceptance with up to 3 passes.
+    /// acceptance with up to 3 passes; also checked at
+    /// [`PARALLEL_THREADS`] workers.
     Policy,
     /// The 2k-node adder from the large-instance generator.
     Large,
@@ -99,22 +101,25 @@ pub struct Case {
     pub id: String,
     circuit: Circuit,
     opts: SubstOptions,
+    parallel: bool,
 }
 
 impl Case {
     fn new(circuit: Circuit, name: &str, config: &str, opts: SubstOptions) -> Case {
+        let parallel = matches!(circuit, Circuit::Random(seed) if PARALLEL_SEEDS.contains(&seed))
+            && opts.discovery == Discovery::Overlap;
         Case {
             id: format!("{name}/{config}/{}", opts.discovery.name()),
             circuit,
             opts,
+            parallel,
         }
     }
 
     /// Whether this row is also checked at [`PARALLEL_THREADS`] workers.
     #[must_use]
     pub fn parallel_checked(&self) -> bool {
-        matches!(self.circuit, Circuit::Random(seed) if PARALLEL_SEEDS.contains(&seed))
-            && self.opts.discovery == Discovery::Overlap
+        self.parallel
     }
 }
 
@@ -175,7 +180,10 @@ pub fn cases(group: Group) -> Vec<Case> {
                             .with_acceptance(acceptance)
                             .with_max_passes(3)
                             .with_discovery(discovery);
-                        out.push(Case::new(circuit, name, label, opts));
+                        out.push(Case {
+                            parallel: true,
+                            ..Case::new(circuit, name, label, opts)
+                        });
                     }
                 }
             }
@@ -213,9 +221,7 @@ pub fn all_cases() -> Vec<Case> {
 #[must_use]
 pub fn run(case: &Case, threads: usize) -> String {
     let mut net = case.circuit.build();
-    let s = Session::new(&mut net, case.opts.clone())
-        .threads(threads)
-        .run();
+    let s = Session::new(&mut net, case.opts.clone().with_threads(threads)).run();
     format!(
         "subs={} pos={} ext={} gain={} tried={} passes={} lits={} blif={:016x}",
         s.substitutions,

@@ -32,8 +32,7 @@ use crate::candidates::{build_source, CandidateSource, SourceCtx};
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    filter_pair, try_pair_core, Acceptance, Discovery, GdcScope, SubstMode, SubstOptions,
-    SubstStats,
+    filter_pair, try_pair_core, Acceptance, Discovery, SubstMode, SubstOptions, SubstStats,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_cube::Cover;
@@ -544,6 +543,20 @@ impl<'a> SubstEngine<'a> {
         Some(decision)
     }
 
+    /// Folds pending refinement patterns into the sim signatures (a
+    /// no-op when nothing is pending), booking the sim stage time.
+    pub(crate) fn flush_sim(&mut self) {
+        if let Some(sim) = self.sim.as_mut() {
+            let ts = Instant::now();
+            sim.flush(self.net);
+            let dts = nanos(ts);
+            self.stats.sim_nanos += dts;
+            if let Some(t) = self.tracer.as_deref_mut() {
+                t.stage(Stage::Sim, dts);
+            }
+        }
+    }
+
     /// One candidate enumeration through the configured
     /// [`CandidateSource`]: flushes the sim filter first when signature
     /// discovery needs current bucket keys, books the per-source funnel
@@ -556,17 +569,8 @@ impl<'a> SubstEngine<'a> {
         cursor: Option<NodeId>,
     ) -> Vec<NodeId> {
         if self.stats.discovery == Discovery::Signature {
-            if let Some(sim) = self.sim.as_mut() {
-                // Bucket keys must never bake in half-simulated tail
-                // words; fold pending refinement patterns in first.
-                let ts = Instant::now();
-                sim.flush(self.net);
-                let dts = nanos(ts);
-                self.stats.sim_nanos += dts;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.stage(Stage::Sim, dts);
-                }
-            }
+            // Bucket keys must never bake in half-simulated tail words.
+            self.flush_sim();
         }
         let t0 = Instant::now();
         let (cands, bucket_hits, skipped) = {
@@ -593,14 +597,16 @@ impl<'a> SubstEngine<'a> {
     }
 
     fn visit_target(&mut self, target: NodeId) {
-        if self.opts.threads.get() > 1 {
-            // Epoch-parallel speculative sweep; bit-identical rewrites,
-            // see `crate::parallel`.
-            return self.visit_target_parallel(target);
-        }
-        let bound = self.net.id_bound();
         match self.opts.acceptance {
+            // Dry runs through the epoch machinery at any width, see
+            // `crate::parallel`.
+            Acceptance::BestGain => self.best_gain(target),
+            // Epoch-parallel speculative sweep; bit-identical rewrites.
+            Acceptance::FirstGain if self.opts.threads.get() > 1 => {
+                self.parallel_first_gain(target);
+            }
             Acceptance::FirstGain => {
+                let bound = self.net.id_bound();
                 let mut cursor: Option<NodeId> = None;
                 'resume: loop {
                     let cands = self.discover(target, bound, cursor);
@@ -618,57 +624,6 @@ impl<'a> SubstEngine<'a> {
                         }
                     }
                     break;
-                }
-            }
-            Acceptance::BestGain => {
-                let cands = self.discover(target, bound, None);
-                // Dry-run every candidate on a scratch copy, then apply
-                // only the best one for real.
-                let mut best: Option<(NodeId, i64)> = None;
-                for &divisor in &cands {
-                    if self.deadline_expired() {
-                        return;
-                    }
-                    let mut scratch = self.net.clone();
-                    let mut scratch_stats = SubstStats::default();
-                    let dry = if self.opts.checked {
-                        // Dry runs mutate only the scratch clone, so a
-                        // panicking attempt is discarded wholesale; the
-                        // pair is quarantined so the real sweep skips it.
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            crate::subst::try_pair(
-                                &mut scratch,
-                                target,
-                                divisor,
-                                &self.opts,
-                                &mut scratch_stats,
-                            )
-                        }));
-                        match caught {
-                            Ok(gain) => gain,
-                            Err(_) => {
-                                self.stats.engine_faults += 1;
-                                self.quarantine_pair(target, divisor);
-                                None
-                            }
-                        }
-                    } else {
-                        crate::subst::try_pair(
-                            &mut scratch,
-                            target,
-                            divisor,
-                            &self.opts,
-                            &mut scratch_stats,
-                        )
-                    };
-                    if let Some(gain) = dry {
-                        if best.is_none_or(|(_, g)| gain > g) {
-                            best = Some((divisor, gain));
-                        }
-                    }
-                }
-                if let Some((divisor, _)) = best {
-                    self.attempt(target, divisor);
                 }
             }
         }
@@ -803,12 +758,6 @@ impl<'a> SubstEngine<'a> {
         let mut verdict: Option<Outcome> = None;
         let mut result = {
             let mut core = || {
-                let scope = match &self.shadow {
-                    Some(e) if self.opts.mode == SubstMode::ExtendedGdc => {
-                        GdcScope::Shadow(&e.base)
-                    }
-                    _ => GdcScope::Rebuild,
-                };
                 try_pair_core(
                     &mut *self.net,
                     target,
@@ -816,7 +765,7 @@ impl<'a> SubstEngine<'a> {
                     &space,
                     &self.opts,
                     &mut self.stats,
-                    &scope,
+                    self.shadow.as_ref().map(|e| &e.base),
                     self.sim.as_ref(),
                     self.tracer.as_deref_mut(),
                 )
@@ -1009,5 +958,37 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("divisions tried"));
         assert!(text.contains("literal gain"));
+    }
+
+    /// A quarantined pair must not win the best-gain dry runs: `attempt`
+    /// would reject it, and the target would get no rewrite at all.
+    #[test]
+    fn best_gain_skips_quarantined_pairs() {
+        let mut net = Network::new("quarantine_t");
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| net.add_input(n).expect("input"));
+        let f = net
+            .add_node(
+                "f",
+                vec![a, b, c, d],
+                parse_sop(4, "ab + ac + ad").expect("p"),
+            )
+            .expect("f");
+        let g = net
+            .add_node("g", vec![b, c], parse_sop(2, "a + b").expect("p"))
+            .expect("g");
+        let h = net
+            .add_node("h", vec![b, c, d], parse_sop(3, "a + b + c").expect("p"))
+            .expect("h");
+        for (name, id) in [("f", f), ("g", g), ("h", h)] {
+            net.add_output(name, id).expect("output");
+        }
+        let opts = SubstOptions::basic().with_acceptance(Acceptance::BestGain);
+        let mut engine = SubstEngine::new(&mut net, opts);
+        // f = a·h is the top dry-run gain, but the pair is quarantined.
+        engine.quarantine.insert((f, h));
+        engine.run();
+        let mut fanins = net.node(f).fanins().to_vec();
+        fanins.sort_unstable();
+        assert_eq!(fanins, vec![a, d, g], "f must be rewritten over g");
     }
 }

@@ -321,6 +321,9 @@ impl NetworkRegion {
     /// `var_nodes`. Observation points are the primary outputs, so
     /// redundancy checks see the paper's *global* internal don't cares.
     ///
+    /// The engine proves on [`ShadowBase::region`] instead; this
+    /// from-scratch build is the reference that path is tested against.
+    ///
     /// # Panics
     ///
     /// Panics if `divisor` is in the transitive fanout of `target`, if a
@@ -604,5 +607,100 @@ mod tests {
         // Read-back without removals reproduces the kept cubes.
         let q = region.read_quotient();
         assert!(q.equivalent(&kept));
+    }
+
+    fn output_values(circuit: &Circuit, ins: &[bool]) -> Vec<bool> {
+        let vals = circuit.eval(ins);
+        circuit.outputs().iter().map(|o| vals[o.index()]).collect()
+    }
+
+    /// GDC proofs run only on shadow-patched regions; the from-scratch
+    /// rebuild is the reference. For every filter-surviving pair of a few
+    /// small networks both circuits must compute the same outputs on all
+    /// input patterns, and redundancy removal must read back the same
+    /// quotient from both.
+    #[test]
+    fn shadow_region_matches_rebuild_on_every_surviving_pair() {
+        use crate::division::split_remainder;
+        use crate::subst::{filter_pair, SubstOptions, SubstStats};
+        use boolsubst_atpg::{remove_redundant_wires_with, RemovalOptions};
+        use boolsubst_workloads::generator::{
+            planted_network, random_network, GeneratorParams, PlantedParams,
+        };
+
+        let opts = SubstOptions::extended_gdc();
+        let div = &opts.division;
+        let removal = RemovalOptions {
+            imply: div.imply,
+            exact_budget: div.exact_budget,
+            max_checks: div.max_checks,
+        };
+        let planted = PlantedParams {
+            inputs: 8,
+            hidden: 2,
+            targets: 5,
+            divisor_extra_cubes: 1,
+        };
+        let nets = [
+            sample_net().0,
+            random_network(11, &GeneratorParams::default()),
+            random_network(23, &GeneratorParams::default()),
+            random_network(47, &GeneratorParams::default()),
+            planted_network(5, &planted),
+            planted_network(9, &planted),
+        ];
+        let mut pairs = 0usize;
+        for net in &nets {
+            let n = net.inputs().len();
+            let patterns: Vec<Vec<bool>> = (0u32..1 << n)
+                .map(|m| (0..n).map(|i| (m >> i) & 1 == 1).collect())
+                .collect();
+            for target in net.internal_ids() {
+                let tfo: HashSet<NodeId> = net.tfo(target).into_iter().collect();
+                let base = ShadowBase::prepare(net, target, &tfo);
+                for divisor in net.internal_ids() {
+                    let mut stats = SubstStats::default();
+                    let Ok(space) = filter_pair(net, target, divisor, &opts, &mut stats, || {
+                        net.in_tfo(divisor, target)
+                    }) else {
+                        continue;
+                    };
+                    let f = space.cover_of(net, target);
+                    let d = space.cover_of(net, divisor);
+                    let (kept, rem) = split_remainder(&f, &d);
+                    if kept.is_empty() {
+                        continue;
+                    }
+                    let vars = space.vars.clone();
+                    let mut shadow = base.region(net, divisor, vars.clone(), &kept, &rem);
+                    let mut rebuilt = NetworkRegion::build(net, target, divisor, vars, &kept, &rem);
+                    let pair = format!("{}: ({target:?}, {divisor:?})", net.name());
+                    for ins in &patterns {
+                        assert_eq!(
+                            output_values(&shadow.netc.circuit, ins),
+                            output_values(&rebuilt.netc.circuit, ins),
+                            "{pair}: regions disagree on {ins:?}"
+                        );
+                    }
+                    for region in [&mut shadow, &mut rebuilt] {
+                        let wires = region.candidate_wires(&kept);
+                        let passes = div.max_passes.max(1) + 1;
+                        remove_redundant_wires_with(
+                            &mut region.netc.circuit,
+                            &wires,
+                            &removal,
+                            passes,
+                        );
+                    }
+                    assert_eq!(
+                        shadow.read_quotient(),
+                        rebuilt.read_quotient(),
+                        "{pair}: removal read back different quotients"
+                    );
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs >= 100, "only {pairs} surviving pairs exercised");
     }
 }

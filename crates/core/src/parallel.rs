@@ -51,12 +51,25 @@
 //! isolation): the pair is booked as an engine fault, quarantined, and
 //! the committer keeps going — a dying worker cannot poison the shared
 //! state because speculation never mutates it.
+//!
+//! # Best-gain acceptance
+//!
+//! [`Acceptance::BestGain`] runs through the same epoch at *every* thread
+//! count (at one thread, or for a small epoch, the committer evaluates
+//! inline and no thread is spawned). One visit is one epoch: discover the
+//! candidates, keep those sharing a fanin with the target, flush the sim
+//! filter, prepare the GDC shadow, then dry-run every candidate — no
+//! lowest-index bound, no trace spans. Dry-run stat deltas are discarded,
+//! except faults, which are quarantined; quarantined pairs never win. The
+//! lowest-index maximum gain is applied through the live
+//! [`SubstEngine::attempt`]. The deadline is checked before the dry runs
+//! and again before the commit, so both widths stop at the same points.
 
 use crate::engine::{id32, nanos, ShadowEntry, SubstEngine};
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    filter_pair, plan_pair_core, Acceptance, GdcScope, PlanKind, SubstMode, SubstOptions,
-    SubstPlan, SubstStats,
+    filter_pair, plan_pair_core, Acceptance, PlanKind, SubstMode, SubstOptions, SubstPlan,
+    SubstStats,
 };
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimView;
@@ -82,11 +95,12 @@ enum SpecVerdict {
     Fault,
 }
 
-/// One worker-evaluated pair: the verdict, the stat delta the sequential
-/// engine would have recorded for it, and (when tracing) a replayable
-/// span record.
+/// One worker-evaluated pair: the verdict, the planned gain (0 unless
+/// accepted), the stat delta the sequential engine would have recorded
+/// for it, and (when tracing) a replayable span record.
 struct PairEval {
     verdict: SpecVerdict,
+    gain: i64,
     delta: SubstStats,
     rec: Option<PairRecord>,
 }
@@ -134,10 +148,6 @@ fn speculate_pair(
             let t1 = Instant::now();
             let sim_nanos0 = delta.sim_nanos;
             let planned = catch_unwind(AssertUnwindSafe(|| {
-                let scope = match shadow {
-                    Some(base) => GdcScope::Shadow(base),
-                    None => GdcScope::Rebuild,
-                };
                 plan_pair_core(
                     net,
                     target,
@@ -145,7 +155,7 @@ fn speculate_pair(
                     &space,
                     opts,
                     &mut delta,
-                    &scope,
+                    shadow,
                     sim.map(|v| v.filter()),
                     None,
                 )
@@ -192,27 +202,22 @@ fn speculate_pair(
     });
     PairEval {
         verdict,
+        gain,
         delta,
         rec,
     }
 }
 
 impl SubstEngine<'_> {
-    /// Parallel replacement for the sequential target visit; dispatched
-    /// from `visit_target` when `opts.threads > 1`.
-    pub(crate) fn visit_target_parallel(&mut self, target: NodeId) {
-        match self.opts.acceptance {
-            Acceptance::FirstGain => self.parallel_first_gain(target),
-            Acceptance::BestGain => self.parallel_best_gain(target),
-        }
-    }
-
-    /// If the GDC shadow snapshot is missing or stale, builds it now so
-    /// workers can share it — but does *not* book the cache miss yet.
-    /// Returns the build duration; the miss is booked when (if) the
-    /// first filter-surviving pair consumes it, which is the moment the
-    /// sequential engine's lazy `ensure_shadow` would have built it.
-    fn prepare_epoch_shadow(&mut self, target: NodeId) -> Option<u64> {
+    /// Readies the state an epoch's workers share: folds pending sim
+    /// patterns in (a frozen view must not screen against stale tail
+    /// words) and, if the GDC shadow snapshot is missing or stale, builds
+    /// it now — but does *not* book the cache miss yet. Returns the build
+    /// duration; the miss is booked when (if) a filter-surviving pair
+    /// consumes it, which is the moment the sequential engine's lazy
+    /// `ensure_shadow` would have built it.
+    fn prepare_epoch(&mut self, target: NodeId) -> Option<u64> {
+        self.flush_sim();
         if self.opts.mode != SubstMode::ExtendedGdc {
             return None;
         }
@@ -271,11 +276,19 @@ impl SubstEngine<'_> {
     }
 
     /// One epoch: speculative evaluation of `cands` against the frozen
-    /// network. Returns one slot per candidate; a `None` slot was skipped
-    /// because its index lies beyond the epoch's lowest accepting index
-    /// (the sequential sweep would never have evaluated it either).
-    fn speculate_epoch(&self, target: NodeId, cands: &[NodeId]) -> Vec<Option<PairEval>> {
-        let record = self.tracer.is_some();
+    /// network. Returns one slot per candidate. Under
+    /// [`Acceptance::FirstGain`] a `None` slot was skipped because its
+    /// index lies beyond the epoch's lowest accepting index (the
+    /// sequential sweep would never have evaluated it either);
+    /// [`Acceptance::BestGain`] fills every slot and records no spans.
+    fn speculate_epoch(
+        &self,
+        target: NodeId,
+        cands: &[NodeId],
+        acceptance: Acceptance,
+    ) -> Vec<Option<PairEval>> {
+        let first_gain = acceptance == Acceptance::FirstGain;
+        let record = first_gain && self.tracer.is_some();
         let net: &Network = self.net;
         let side = &self.side;
         let quarantine = &self.quarantine;
@@ -305,7 +318,7 @@ impl SubstEngine<'_> {
                     m.workers[0].pairs.inc();
                     m.sweep_proof_ns.add(dt);
                 }
-                let stop = eval.verdict == SpecVerdict::Accept;
+                let stop = first_gain && eval.verdict == SpecVerdict::Accept;
                 out.push(Some(eval));
                 if stop {
                     break;
@@ -363,7 +376,7 @@ impl SubstEngine<'_> {
                     proof_ns += nanos(tp);
                     pairs += 1;
                 }
-                if eval.verdict == SpecVerdict::Accept {
+                if first_gain && eval.verdict == SpecVerdict::Accept {
                     best.fetch_min(idx, Ordering::AcqRel);
                 }
                 let tw = metrics.map(|_| Instant::now());
@@ -407,7 +420,7 @@ impl SubstEngine<'_> {
 
     /// The parallel first-gain visit: epochs of speculation, ordered
     /// commits, sequential re-validation of each winner.
-    fn parallel_first_gain(&mut self, target: NodeId) {
+    pub(crate) fn parallel_first_gain(&mut self, target: NodeId) {
         let bound = self.net.id_bound();
         let mut cursor: Option<NodeId> = None;
         'resume: loop {
@@ -427,9 +440,9 @@ impl SubstEngine<'_> {
                 if self.deadline_expired() {
                     return;
                 }
-                let mut pending_build = self.prepare_epoch_shadow(target);
+                let mut pending_build = self.prepare_epoch(target);
                 let slice = &cands[start..];
-                let mut evals = self.speculate_epoch(target, slice);
+                let mut evals = self.speculate_epoch(target, slice, Acceptance::FirstGain);
                 let winner = evals.iter().position(|e| {
                     e.as_ref()
                         .is_some_and(|ev| ev.verdict == SpecVerdict::Accept)
@@ -448,29 +461,7 @@ impl SubstEngine<'_> {
                     break 'resume;
                 };
                 let divisor = slice[w];
-                // Sequentially re-validate and apply the winner through
-                // the ordinary attempt path (txn, guard, side patching,
-                // live tracing). If the winner is the epoch's first
-                // filter survivor, the sequential engine would have built
-                // the shadow *here* — swap the warm-cache hit `attempt`
-                // books for the miss it would have counted.
-                let pending_was = pending_build.take();
-                if let Some(ns) = pending_was {
-                    if let Some(t) = self.tracer.as_deref_mut() {
-                        t.shadow_build(id32(target), ns);
-                    }
-                }
-                let before = self.stats.substitutions;
-                let tc = self.metrics.as_ref().map(|_| Instant::now());
-                self.attempt(target, divisor);
-                if let (Some(m), Some(tc)) = (&self.metrics, tc) {
-                    m.sweep_commit_ns.add(nanos(tc));
-                }
-                if pending_was.is_some() {
-                    self.stats.shadow_cache_hits -= 1;
-                    self.stats.shadow_cache_misses += 1;
-                }
-                if self.stats.substitutions != before {
+                if self.commit_winner(target, divisor, pending_build) {
                     // Committed: the target's fanins changed, re-enumerate
                     // and resume past this divisor.
                     cursor = Some(divisor);
@@ -484,117 +475,69 @@ impl SubstEngine<'_> {
         }
     }
 
-    /// The parallel best-gain visit: dry-runs fan out over scratch
-    /// clones (their stats are discarded, as in the sequential loop),
-    /// then the lowest-index best gain is applied for real.
-    fn parallel_best_gain(&mut self, target: NodeId) {
+    /// Re-validates and applies an epoch's winner through the ordinary
+    /// [`SubstEngine::attempt`] path (txn, guard, side patching, live
+    /// tracing); returns whether the rewrite committed. If the epoch's
+    /// shadow build is still unconsumed (`pending_build`), the sequential
+    /// engine would have built the shadow *here* — swap the warm-cache
+    /// hit `attempt` books for the miss it would have counted.
+    fn commit_winner(
+        &mut self,
+        target: NodeId,
+        divisor: NodeId,
+        pending_build: Option<u64>,
+    ) -> bool {
+        if let Some(ns) = pending_build {
+            if let Some(t) = self.tracer.as_deref_mut() {
+                t.shadow_build(id32(target), ns);
+            }
+        }
+        let before = self.stats.substitutions;
+        let tc = self.metrics.as_ref().map(|_| Instant::now());
+        self.attempt(target, divisor);
+        if let (Some(m), Some(tc)) = (&self.metrics, tc) {
+            m.sweep_commit_ns.add(nanos(tc));
+        }
+        if pending_build.is_some() {
+            self.stats.shadow_cache_hits -= 1;
+            self.stats.shadow_cache_misses += 1;
+        }
+        self.stats.substitutions != before
+    }
+
+    /// The best-gain visit, at any thread count: one epoch dry-runs every
+    /// candidate read-only (stat deltas discarded, faults quarantined),
+    /// then the lowest-index maximum gain is applied for real.
+    pub(crate) fn best_gain(&mut self, target: NodeId) {
         let bound = self.net.id_bound();
-        let cands = self.discover(target, bound, None);
-        if self.deadline_expired() {
+        let mut cands = self.discover(target, bound, None);
+        // Cheap relevance filter: only divisors sharing a fanin with the
+        // target are worth a dry run.
+        let net: &Network = self.net;
+        let t_fanins = net.node(target).fanins();
+        cands.retain(|&d| net.node(d).fanins().iter().any(|f| t_fanins.contains(f)));
+        if cands.is_empty() || self.deadline_expired() {
             return;
         }
-        let results = {
-            let net: &Network = self.net;
-            let opts = &self.opts;
-            let metrics = self.metrics.as_ref();
-            if let Some(m) = metrics {
-                m.sweep_epochs.inc();
-            }
-            let next = AtomicUsize::new(0);
-            let found = Mutex::new(Vec::<(usize, Result<Option<i64>, ()>)>::with_capacity(
-                cands.len(),
-            ));
-            #[cfg(feature = "chaos")]
-            let chaos_cfg = crate::chaos::current_config();
-            let workers = opts.threads.get().min(cands.len()).max(1);
-            let drain = |worker: usize| {
-                #[cfg(feature = "chaos")]
-                if worker != 0 {
-                    if let Some(cfg) = chaos_cfg {
-                        crate::chaos::configure(cfg);
-                    }
-                }
-                let t_drain = metrics.map(|_| Instant::now());
-                let mut proof_ns = 0u64;
-                let mut wait_ns = 0u64;
-                let mut pairs = 0u64;
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= cands.len() {
-                        break;
-                    }
-                    let divisor = cands[idx];
-                    let tp = metrics.map(|_| Instant::now());
-                    let mut scratch = net.clone();
-                    let mut scratch_stats = SubstStats::default();
-                    let dry = catch_unwind(AssertUnwindSafe(|| {
-                        crate::subst::try_pair(
-                            &mut scratch,
-                            target,
-                            divisor,
-                            opts,
-                            &mut scratch_stats,
-                        )
-                    }))
-                    .map_err(|_| ());
-                    if let Some(tp) = tp {
-                        proof_ns += nanos(tp);
-                        pairs += 1;
-                    }
-                    let tw = metrics.map(|_| Instant::now());
-                    let mut slots = found.lock().expect("dry-run result lock");
-                    if let Some(tw) = tw {
-                        wait_ns += nanos(tw);
-                    }
-                    slots.push((idx, dry));
-                }
-                if let (Some(m), Some(t_drain)) = (metrics, t_drain) {
-                    let idle = nanos(t_drain)
-                        .saturating_sub(proof_ns)
-                        .saturating_sub(wait_ns);
-                    let wm = &m.workers[worker];
-                    wm.proof_ns.add(proof_ns);
-                    wm.wait_ns.add(wait_ns);
-                    wm.idle_ns.add(idle);
-                    wm.pairs.add(pairs);
-                    m.sweep_proof_ns.add(proof_ns);
-                    m.sweep_wait_ns.add(wait_ns);
-                    m.sweep_idle_ns.add(idle);
-                }
-            };
-            std::thread::scope(|s| {
-                let drain = &drain;
-                for w in 1..workers {
-                    s.spawn(move || drain(w));
-                }
-                drain(0);
-            });
-            let mut results = found.into_inner().expect("dry-run result lock");
-            results.sort_unstable_by_key(|&(idx, _)| idx);
-            results
-        };
+        let pending_build = self.prepare_epoch(target);
+        let evals = self.speculate_epoch(target, &cands, Acceptance::BestGain);
         let mut best: Option<(NodeId, i64)> = None;
-        for (idx, dry) in results {
-            match dry {
-                Err(()) => {
-                    // A panicking dry run touched only its scratch clone;
-                    // book the fault and never retry the pair.
+        for (divisor, eval) in cands.into_iter().zip(evals) {
+            let eval = eval.expect("best-gain epochs fill every slot");
+            match eval.verdict {
+                SpecVerdict::Fault => {
                     self.stats.engine_faults += 1;
-                    self.quarantine_pair(target, cands[idx]);
+                    self.quarantine_pair(target, divisor);
                 }
-                Ok(Some(gain)) => {
-                    if best.is_none_or(|(_, g)| gain > g) {
-                        best = Some((cands[idx], gain));
-                    }
+                SpecVerdict::Accept if best.is_none_or(|(_, g)| eval.gain > g) => {
+                    best = Some((divisor, eval.gain));
                 }
-                Ok(None) => {}
+                _ => {}
             }
         }
         if let Some((divisor, _)) = best {
-            let tc = self.metrics.as_ref().map(|_| Instant::now());
-            self.attempt(target, divisor);
-            if let (Some(m), Some(tc)) = (&self.metrics, tc) {
-                m.sweep_commit_ns.add(nanos(tc));
+            if !self.deadline_expired() {
+                self.commit_winner(target, divisor, pending_build);
             }
         }
     }

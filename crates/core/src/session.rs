@@ -1,6 +1,7 @@
 //! The unified substitution entry point: one builder for every way of
 //! running the sweep — construct a [`SubstEngine`], maybe attach a
-//! tracer, a metrics handle or a thread count, run:
+//! tracer or a metrics handle, run. The thread count is an option
+//! ([`SubstOptions::with_threads`]):
 //!
 //! ```
 //! use boolsubst_core::{Session, SubstOptions};
@@ -11,9 +12,7 @@
 //! # let b = net.add_input("b").unwrap();
 //! # let f = net.add_node("f", vec![a, b], parse_sop(2, "ab").unwrap()).unwrap();
 //! # net.add_output("f", f).unwrap();
-//! let stats = Session::new(&mut net, SubstOptions::extended())
-//!     .threads(4)
-//!     .run();
+//! let stats = Session::new(&mut net, SubstOptions::extended().with_threads(4)).run();
 //! ```
 
 use crate::engine::SubstEngine;
@@ -24,13 +23,13 @@ use boolsubst_network::Network;
 use boolsubst_trace::Tracer;
 
 /// A configured substitution run over one network: options, an optional
-/// trace recorder, an optional metrics registry, and a thread count,
-/// executed by [`Session::run`].
+/// trace recorder and an optional metrics registry, executed by
+/// [`Session::run`].
 ///
 /// The builder borrows the network mutably for its whole life, so a
 /// `Session` cannot outlive or alias the network it rewrites. Attaching a
 /// tracer or a metrics handle never changes the accepted rewrites, and
-/// `threads(1)` (the default) is the plain sequential engine.
+/// one thread (the default) runs no worker threads at all.
 pub struct Session<'n, 't> {
     net: &'n mut Network,
     opts: SubstOptions,
@@ -68,14 +67,6 @@ impl<'n, 't> Session<'n, 't> {
     #[must_use]
     pub fn metrics(mut self, handle: &MetricsHandle) -> Session<'n, 't> {
         self.metrics = Some(handle.clone());
-        self
-    }
-
-    /// Sets the worker-thread count (shorthand for
-    /// [`SubstOptions::with_threads`]); `0` is clamped to `1`.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Session<'n, 't> {
-        self.opts = self.opts.with_threads(threads);
         self
     }
 
@@ -164,13 +155,10 @@ mod tests {
         for opts in crate::subst::all_configs() {
             for threads in [1usize, 4] {
                 let mut plain = small_net();
-                let sp = Session::new(&mut plain, opts.clone())
-                    .threads(threads)
-                    .run();
+                let sp = Session::new(&mut plain, opts.clone().with_threads(threads)).run();
                 let handle = MetricsHandle::new();
                 let mut metered = small_net();
-                let sm = Session::new(&mut metered, opts.clone())
-                    .threads(threads)
+                let sm = Session::new(&mut metered, opts.clone().with_threads(threads))
                     .metrics(&handle)
                     .run();
                 assert_eq!(

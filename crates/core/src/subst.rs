@@ -5,7 +5,7 @@
 
 use crate::division::{basic_divide_covers, pos_divide_precomplemented, DivisionOptions};
 use crate::extended::extended_divide_covers;
-use crate::netcircuit::{NetworkRegion, ShadowBase};
+use crate::netcircuit::ShadowBase;
 use boolsubst_algebraic::{factored_literals, JointSpace};
 use boolsubst_atpg::{remove_redundant_wires_with, RemovalOptions};
 use boolsubst_cube::{Cover, Lit, Phase};
@@ -751,61 +751,9 @@ fn factored_gain(net: &Network, target: NodeId, new_cover: &Cover) -> i64 {
     factored_literals(old) as i64 - factored_literals(new_cover) as i64
 }
 
-/// How the GDC mode materializes the whole-network circuit for one
-/// division attempt.
-pub(crate) enum GdcScope<'a> {
-    /// Rebuild the circuit from scratch per attempt — the path taken
-    /// when no shadow snapshot is at hand (best-gain dry runs, and every
-    /// non-GDC attempt, where the scope is unused).
-    Rebuild,
-    /// Clone a per-target snapshot and patch only the dirty region.
-    Shadow(&'a ShadowBase),
-}
-
-/// One self-contained substitution attempt of `divisor` into `target`:
-/// the per-pair filters recomputed from scratch, then the division core.
-/// Applies the first strategy with positive gain (the paper's locally
-/// greedy acceptance) and returns the gain, or `None` if nothing helped.
-/// The best-gain dry runs use it on scratch clones, whose stats are
-/// discarded.
-pub(crate) fn try_pair(
-    net: &mut Network,
-    target: NodeId,
-    divisor: NodeId,
-    opts: &SubstOptions,
-    stats: &mut SubstStats,
-) -> Option<i64> {
-    stats.candidates_enumerated += 1;
-    let space = filter_pair(net, target, divisor, opts, stats, || {
-        net.in_tfo(divisor, target)
-    })
-    .ok()?;
-    // Cheap relevance filter: supports must overlap.
-    let t_fanins = net.node(target).fanins();
-    if !net
-        .node(divisor)
-        .fanins()
-        .iter()
-        .any(|f| t_fanins.contains(f))
-    {
-        return None;
-    }
-    try_pair_core(
-        net,
-        target,
-        divisor,
-        &space,
-        opts,
-        stats,
-        &GdcScope::Rebuild,
-        None,
-        None,
-    )
-}
-
 /// The cheap per-pair filters every attempt path runs before any proof,
 /// in a fixed order: self-pair or existing fanin, cycle (`in_tfo` is the
-/// caller's transitive-fanout query — recomputed, cached or frozen),
+/// caller's transitive-fanout query — cached or frozen),
 /// divisor cube count, joint variable space. Returns the joint space of
 /// a surviving pair, or the reject outcome after counting it in `stats`.
 pub(crate) fn filter_pair(
@@ -908,11 +856,12 @@ impl SubstPlan {
 /// The filter-free heart of a substitution attempt: divides `target` by
 /// `divisor` over the precomputed joint `space` and applies the first
 /// strategy with positive gain. Callers guarantee the pair already passed
-/// the structural, cycle, size, and support-overlap filters.
+/// [`filter_pair`].
 ///
 /// Composition of [`plan_pair_core`] (read-only evaluation) and
-/// [`apply_plan`] (the mutation); the sequential engine goes through
-/// here, the parallel sweep calls the two halves separately.
+/// [`apply_plan`] (the mutation); the live `attempt` goes through here,
+/// while the epoch dry runs (both acceptance policies) call only the
+/// read-only half.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_pair_core(
     net: &mut Network,
@@ -921,7 +870,7 @@ pub(crate) fn try_pair_core(
     space: &JointSpace,
     opts: &SubstOptions,
     stats: &mut SubstStats,
-    gdc: &GdcScope<'_>,
+    shadow: Option<&ShadowBase>,
     sim: Option<&SimFilter>,
     mut tracer: Option<&mut Tracer>,
 ) -> Option<i64> {
@@ -932,7 +881,7 @@ pub(crate) fn try_pair_core(
         space,
         opts,
         stats,
-        gdc,
+        shadow,
         sim,
         tracer.as_deref_mut(),
     )?;
@@ -945,6 +894,10 @@ pub(crate) fn try_pair_core(
 /// mutating the network. Because planning never mutates, "first strategy
 /// that would be applied" and "first strategy with positive gain" are the
 /// same thing, so [`try_pair_core`] behaves exactly as the pre-split code.
+///
+/// The GDC mode proves on `shadow`, the target's prepared shadow
+/// snapshot, which every caller supplies in that mode; other modes
+/// ignore it.
 ///
 /// When `sim` is given, the dividend is screened against the divisor's
 /// simulation signature first and refuted strategies skip their proof
@@ -960,7 +913,7 @@ pub(crate) fn plan_pair_core(
     space: &JointSpace,
     opts: &SubstOptions,
     stats: &mut SubstStats,
-    gdc: &GdcScope<'_>,
+    shadow: Option<&ShadowBase>,
     sim: Option<&SimFilter>,
     tracer: Option<&mut Tracer>,
 ) -> Option<SubstPlan> {
@@ -994,17 +947,8 @@ pub(crate) fn plan_pair_core(
         None
     } else if opts.mode == SubstMode::ExtendedGdc {
         ran_proof = true;
-        divide_in_network(
-            net,
-            target,
-            divisor,
-            space,
-            &f,
-            &d,
-            &opts.division,
-            gdc,
-            stats,
-        )
+        let shadow = shadow.expect("GDC proofs run on the target's prepared shadow");
+        divide_in_network(net, divisor, space, &f, &d, &opts.division, shadow, stats)
     } else {
         ran_proof = true;
         let r = basic_divide_covers(&f, &d, &opts.division);
@@ -1375,31 +1319,26 @@ fn plan_extended(
 /// Basic division with whole-network implication scope (the GDC mode):
 /// materializes the full circuit with the target in the division
 /// configuration, observes the primary outputs, and removes every provably
-/// redundant region wire. The circuit comes either from a per-pair rebuild
-/// or from patching a per-target shadow snapshot, per `gdc`; both produce
-/// isomorphic circuits, so the removal verdicts agree.
+/// redundant region wire. The circuit is the target's `shadow` snapshot
+/// patched with this pair's division structure; it is isomorphic to the
+/// from-scratch [`NetworkRegion::build`](crate::netcircuit::NetworkRegion::build),
+/// so the removal verdicts agree (pinned by the netcircuit tests).
 #[allow(clippy::too_many_arguments)]
 fn divide_in_network(
     net: &Network,
-    target: NodeId,
     divisor: NodeId,
     space: &JointSpace,
     f: &Cover,
     d: &Cover,
     opts: &DivisionOptions,
-    gdc: &GdcScope<'_>,
+    shadow: &ShadowBase,
     stats: &mut SubstStats,
 ) -> Option<(Cover, Cover)> {
     let (kept, remainder) = crate::division::split_remainder(f, d);
     if kept.is_empty() {
         return None;
     }
-    let mut region = match gdc {
-        GdcScope::Rebuild => {
-            NetworkRegion::build(net, target, divisor, space.vars.clone(), &kept, &remainder)
-        }
-        GdcScope::Shadow(base) => base.region(net, divisor, space.vars.clone(), &kept, &remainder),
-    };
+    let mut region = shadow.region(net, divisor, space.vars.clone(), &kept, &remainder);
     let candidates = region.candidate_wires(&kept);
     let outcome = remove_redundant_wires_with(
         &mut region.netc.circuit,

@@ -139,42 +139,52 @@ fn checked_parallel_sweep_is_bit_identical_and_clean() {
 /// Fault isolation: a panic inside a *worker thread* must be caught at
 /// the speculated pair, booked as an engine fault, quarantined — and must
 /// never poison the committer. The sweep finishes, the network still
-/// computes the same functions.
+/// computes the same functions. Best-gain dry runs take the same epoch
+/// path at every width, so they are held to the same contract at 1 and 4
+/// threads.
 #[cfg(feature = "chaos")]
 #[test]
 fn worker_panic_quarantines_the_pair_and_spares_the_committer() {
     use boolsubst::core::chaos::{configure, disarm, ChaosConfig};
     use boolsubst::core::verify::networks_equivalent;
+    use boolsubst::core::Acceptance;
 
-    let mut any_faults = 0usize;
-    for seed in [11u64, 23, 47] {
-        let base = random_network(seed, &GeneratorParams::default());
-        let mut net = base.clone();
-        configure(ChaosConfig {
-            panic_entry_rate: 2,
-            seed,
-            ..ChaosConfig::default()
-        });
-        // Returning at all proves no worker panic escaped the epoch.
-        let stats = Session::new(
-            &mut net,
-            SubstOptions::extended().with_checked(true).with_threads(4),
-        )
-        .run();
-        let _ = disarm();
-        net.check_invariants();
+    for (acceptance, threads) in [
+        (Acceptance::FirstGain, 4usize),
+        (Acceptance::BestGain, 1),
+        (Acceptance::BestGain, 4),
+    ] {
+        let mut any_faults = 0usize;
+        for seed in [11u64, 23, 47] {
+            let base = random_network(seed, &GeneratorParams::default());
+            let mut net = base.clone();
+            configure(ChaosConfig {
+                panic_entry_rate: 2,
+                seed,
+                ..ChaosConfig::default()
+            });
+            // Returning at all proves no worker panic escaped the epoch.
+            let opts = SubstOptions::extended()
+                .with_checked(true)
+                .with_acceptance(acceptance)
+                .with_threads(threads);
+            let stats = Session::new(&mut net, opts).run();
+            let _ = disarm();
+            net.check_invariants();
+            let run = format!("seed {seed} {acceptance:?} threads {threads}");
+            assert!(
+                networks_equivalent(&base, &net),
+                "{run}: worker faults corrupted the network"
+            );
+            assert_eq!(
+                stats.engine_faults, stats.quarantined,
+                "{run}: every fault must quarantine its pair"
+            );
+            any_faults += stats.engine_faults;
+        }
         assert!(
-            networks_equivalent(&base, &net),
-            "seed {seed}: worker faults corrupted the network"
+            any_faults > 0,
+            "{acceptance:?} threads {threads}: rate-2 entry panics never fired"
         );
-        assert_eq!(
-            stats.engine_faults, stats.quarantined,
-            "seed {seed}: every fault must quarantine its pair"
-        );
-        any_faults += stats.engine_faults;
     }
-    assert!(
-        any_faults > 0,
-        "rate-2 entry panics never fired in any worker"
-    );
 }

@@ -25,9 +25,8 @@ fn traced_runs_at(threads: usize) -> Vec<(Tracer, SubstStats)> {
         .map(|(name, opts)| {
             let mut net = base.clone();
             let mut tracer = Tracer::new(name);
-            let stats = Session::new(&mut net, opts)
+            let stats = Session::new(&mut net, opts.with_threads(threads))
                 .tracer(&mut tracer)
-                .threads(threads)
                 .run();
             (tracer, stats)
         })
