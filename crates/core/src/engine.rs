@@ -10,9 +10,11 @@
 //!
 //! [`SubstEngine`] keeps session state instead:
 //!
-//! * a [`SideTables`] instance — incrementally maintained fanout lists,
-//!   levels, and memoized transitive fanouts, patched locally after each
-//!   accepted rewrite rather than recomputed per query;
+//! * a [`SideTables`] instance — incrementally maintained fanout lists and
+//!   levels, patched locally after each accepted rewrite rather than
+//!   recomputed per query, plus the visited target's transitive fanout,
+//!   prepared once per target and shared read-only by every pair's cycle
+//!   filter;
 //! * a pluggable [`CandidateSource`] — by default the support-overlap
 //!   index, whose only divisors worth trying are fanouts of the target's
 //!   fanins, so candidate enumeration is proportional to the local fanout
@@ -195,8 +197,8 @@ fn node_names(net: &Network) -> Vec<String> {
 /// The cached per-target GDC snapshot, tagged with the network version it
 /// is valid for.
 pub(crate) struct ShadowEntry {
-    pub(crate) target: NodeId,
-    pub(crate) version: u64,
+    target: NodeId,
+    version: u64,
     pub(crate) base: ShadowBase,
 }
 
@@ -629,28 +631,39 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
-    /// Rebuilds the per-target shadow snapshot if the cached one is for a
-    /// different target or a stale network version.
-    fn ensure_shadow(&mut self, target: NodeId) {
-        let valid = self
-            .shadow
+    /// True when the cached shadow snapshot is for `target` at the current
+    /// network version.
+    pub(crate) fn shadow_fresh(&self, target: NodeId) -> bool {
+        self.shadow
             .as_ref()
-            .is_some_and(|e| e.target == target && e.version == self.net.version());
-        if valid {
-            self.stats.shadow_cache_hits += 1;
-            return;
-        }
+            .is_some_and(|e| e.target == target && e.version == self.net.version())
+    }
+
+    /// Builds the per-target shadow snapshot from the target's prepared
+    /// TFO slot; returns the build time.
+    pub(crate) fn build_shadow(&mut self, target: NodeId) -> u64 {
         let t0 = Instant::now();
-        let tfo = self.side.tfo(self.net, target).clone();
-        let base = ShadowBase::prepare(self.net, target, &tfo);
+        let tfo = self.side.tfo(self.net, target);
+        let base = ShadowBase::prepare(self.net, target, tfo);
         self.shadow = Some(ShadowEntry {
             target,
             version: self.net.version(),
             base,
         });
+        nanos(t0)
+    }
+
+    /// Rebuilds the per-target shadow snapshot if the cached one is for a
+    /// different target or a stale network version.
+    fn ensure_shadow(&mut self, target: NodeId) {
+        if self.shadow_fresh(target) {
+            self.stats.shadow_cache_hits += 1;
+            return;
+        }
+        let ns = self.build_shadow(target);
         self.stats.shadow_cache_misses += 1;
         if let Some(t) = self.tracer.as_deref_mut() {
-            t.shadow_build(id32(target), nanos(t0));
+            t.shadow_build(id32(target), ns);
         }
     }
 
@@ -683,7 +696,10 @@ impl<'a> SubstEngine<'a> {
             self.filter_reject(t0, Outcome::GuardRejected);
             return None;
         }
-        let (net, side) = (&*self.net, &mut self.side);
+        // Every pair of the visit asks about the same target: prepare its
+        // TFO once (a no-op while the slot still holds it).
+        self.side.tfo(self.net, target);
+        let (net, side) = (&*self.net, &self.side);
         let filtered = filter_pair(net, target, divisor, &self.opts, &mut self.stats, || {
             side.in_tfo(net, divisor, target)
         });

@@ -10,7 +10,8 @@
 //! workers speculatively evaluates the pairs against the shared, frozen
 //! `&Network` using the read-only halves of the machinery:
 //!
-//! * [`SideTables::in_tfo_frozen`] for the cycle filter (no memo writes),
+//! * [`SideTables::in_tfo`] for the cycle filter, answered from the
+//!   target's TFO slot the committer prepared before the epoch,
 //! * [`SimView`] over the shared signature table for the refute-only
 //!   screen (no refinement, so nothing is ever pending),
 //! * [`plan_pair_core`] for the proof pipeline, producing a [`SubstPlan`]
@@ -65,7 +66,7 @@
 //! [`SubstEngine::attempt`]. The deadline is checked before the dry runs
 //! and again before the commit, so both widths stop at the same points.
 
-use crate::engine::{id32, nanos, ShadowEntry, SubstEngine};
+use crate::engine::{id32, nanos, SubstEngine};
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
     filter_pair, plan_pair_core, Acceptance, PlanKind, SubstMode, SubstOptions, SubstPlan,
@@ -108,7 +109,8 @@ struct PairEval {
 /// Speculatively evaluates one (target, divisor) pair read-only against
 /// the epoch snapshot, mirroring [`SubstEngine::attempt`]'s filter chain
 /// and stat accounting exactly — minus every mutation (no sim flush or
-/// refinement, no memo writes, no network edit). Always panic-isolated.
+/// refinement, no TFO preparation, no network edit). Always
+/// panic-isolated.
 #[allow(clippy::too_many_arguments)]
 fn speculate_pair(
     net: &Network,
@@ -133,7 +135,7 @@ fn speculate_pair(
         Err(Outcome::GuardRejected)
     } else {
         filter_pair(net, target, divisor, opts, &mut delta, || {
-            side.in_tfo_frozen(net, divisor, target)
+            side.in_tfo(net, divisor, target)
         })
     };
     let dt0 = nanos(t0);
@@ -211,32 +213,17 @@ fn speculate_pair(
 impl SubstEngine<'_> {
     /// Readies the state an epoch's workers share: folds pending sim
     /// patterns in (a frozen view must not screen against stale tail
-    /// words) and, if the GDC shadow snapshot is missing or stale, builds
-    /// it now — but does *not* book the cache miss yet. Returns the build
-    /// duration; the miss is booked when (if) a filter-surviving pair
-    /// consumes it, which is the moment the sequential engine's lazy
-    /// `ensure_shadow` would have built it.
+    /// words), prepares the target's TFO slot for the cycle filter and, if
+    /// the GDC shadow snapshot is missing or stale, builds it now — but
+    /// does *not* book the cache miss yet. Returns the build duration; the
+    /// miss is booked when (if) a filter-surviving pair consumes it, which
+    /// is the moment the sequential engine's lazy `ensure_shadow` would
+    /// have built it.
     fn prepare_epoch(&mut self, target: NodeId) -> Option<u64> {
         self.flush_sim();
-        if self.opts.mode != SubstMode::ExtendedGdc {
-            return None;
-        }
-        let valid = self
-            .shadow
-            .as_ref()
-            .is_some_and(|e| e.target == target && e.version == self.net.version());
-        if valid {
-            return None;
-        }
-        let t0 = Instant::now();
-        let tfo = self.side.tfo(self.net, target).clone();
-        let base = ShadowBase::prepare(self.net, target, &tfo);
-        self.shadow = Some(ShadowEntry {
-            target,
-            version: self.net.version(),
-            base,
-        });
-        Some(nanos(t0))
+        self.side.tfo(self.net, target);
+        (self.opts.mode == SubstMode::ExtendedGdc && !self.shadow_fresh(target))
+            .then(|| self.build_shadow(target))
     }
 
     /// Merges one speculated (and sequentially-consumed) pair into the

@@ -753,7 +753,8 @@ fn factored_gain(net: &Network, target: NodeId, new_cover: &Cover) -> i64 {
 
 /// The cheap per-pair filters every attempt path runs before any proof,
 /// in a fixed order: self-pair or existing fanin, cycle (`in_tfo` is the
-/// caller's transitive-fanout query — cached or frozen),
+/// caller's transitive-fanout query, answered from the target's prepared
+/// slot),
 /// divisor cube count, joint variable space. Returns the joint space of
 /// a surviving pair, or the reject outcome after counting it in `stats`.
 pub(crate) fn filter_pair(

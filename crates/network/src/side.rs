@@ -9,17 +9,23 @@
 //! - **fanout lists** are updated edge-by-edge from the fanin diff;
 //! - **levels** (longest path from the inputs) are repaired with a
 //!   worklist that only visits the region whose level actually changed;
-//! - **transitive fanouts** are memoized per node and invalidated only
-//!   when a changed edge could have been reachable from the cached node.
+//! - **one prepared transitive fanout** — the sweep only ever asks "is
+//!   `d` in TFO(target)?" for the target it is visiting, so a single slot
+//!   holds that target's TFO set. [`SideTables::tfo`] fills it,
+//!   [`SideTables::in_tfo`] reads it through `&self` (shareable with
+//!   worker threads), and an edit drops it only when a changed edge could
+//!   have been reachable from the prepared node.
 //!
 //! Staleness is a real hazard for this kind of cache, so every query
 //! asserts that the tables were synchronised with the network's current
-//! [`Network::version`]. Forgetting to call [`SideTables::sync_new_nodes`]
-//! / [`SideTables::apply_replace`] after an edit is a panic, not a wrong
+//! [`Network::version`], and [`SideTables::in_tfo`] asserts that the slot
+//! was prepared for the node it is asked about. Forgetting to call
+//! [`SideTables::sync_new_nodes`] / [`SideTables::apply_replace`] after an
+//! edit, or [`SideTables::tfo`] before a query, is a panic, not a wrong
 //! answer.
 
 use crate::net::{Network, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The version-checked synchronisation stamp shared by every incremental
 /// side structure ([`SideTables`], the simulation signature table in
@@ -68,7 +74,8 @@ impl VersionStamp {
     }
 }
 
-/// Session-lifetime caches of fanouts, levels, and transitive fanouts.
+/// Session-lifetime caches of fanouts, levels, and the prepared transitive
+/// fanout.
 ///
 /// See the module docs for the maintenance contract. All dense tables are
 /// indexed by [`NodeId::index`].
@@ -78,18 +85,9 @@ pub struct SideTables {
     stamp: VersionStamp,
     fanouts: Vec<Vec<NodeId>>,
     levels: Vec<u32>,
-    tfo: HashMap<NodeId, HashSet<NodeId>>,
-    /// Cumulative count of memoized-TFO reuses (observability).
-    tfo_hits: u64,
-    /// Cumulative count of TFO recomputations (observability).
-    tfo_misses: u64,
-    /// Monotone patch counter: bumped by every synchronisation
-    /// ([`SideTables::sync_new_nodes`], [`SideTables::apply_replace`],
-    /// [`SideTables::apply_remove`]). Epoch-scoped consumers — the parallel
-    /// sweep's per-worker shadow caches and verdict tables — tag entries
-    /// with the epoch they were computed against and treat a mismatch as
-    /// an invalidation, instead of comparing whole structures.
-    epoch: u64,
+    /// The prepared slot: a node and its transitive fanout (excluding the
+    /// node itself), filled by [`SideTables::tfo`].
+    tfo: Option<(NodeId, HashSet<NodeId>)>,
 }
 
 // The parallel sweep shares `&SideTables` (and `&Network`) across worker
@@ -111,18 +109,8 @@ impl SideTables {
             stamp: VersionStamp::new(net),
             fanouts,
             levels,
-            tfo: HashMap::new(),
-            tfo_hits: 0,
-            tfo_misses: 0,
-            epoch: 0,
+            tfo: None,
         }
-    }
-
-    /// The current patch epoch (see the `epoch` field). Starts at 0 and
-    /// increases by one per synchronisation; never decreases.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     fn assert_synced(&self, net: &Network) {
@@ -160,17 +148,16 @@ impl SideTables {
         self.levels[id.index()]
     }
 
-    /// Memoized transitive fanout of `of` (excluding `of` itself).
+    /// Transitive fanout of `of` (excluding `of` itself), prepared in the
+    /// slot [`SideTables::in_tfo`] reads. Recomputed only when the slot
+    /// holds another node or an edit dropped it.
     ///
     /// # Panics
     ///
     /// Panics if the tables are stale.
     pub fn tfo(&mut self, net: &Network, of: NodeId) -> &HashSet<NodeId> {
         self.assert_synced(net);
-        if self.tfo.contains_key(&of) {
-            self.tfo_hits += 1;
-        } else {
-            self.tfo_misses += 1;
+        if self.prepared() != Some(of) {
             let mut seen = HashSet::new();
             let mut stack: Vec<NodeId> = self.fanouts[of.index()].clone();
             while let Some(n) = stack.pop() {
@@ -178,73 +165,26 @@ impl SideTables {
                     stack.extend(self.fanouts[n.index()].iter().copied());
                 }
             }
-            self.tfo.insert(of, seen);
+            self.tfo = Some((of, seen));
         }
-        &self.tfo[&of]
+        &self.tfo.as_ref().expect("slot filled above").1
     }
 
-    /// True if `node` lies in the transitive fanout of `of`. Uses the level
-    /// table as a short-circuit before touching the memoized TFO set.
+    /// True if `node` lies in the transitive fanout of `of`. The level
+    /// table short-circuits; otherwise the answer comes from the slot
+    /// [`SideTables::tfo`] prepared for `of`.
     ///
     /// # Panics
     ///
-    /// Panics if the tables are stale.
-    pub fn in_tfo(&mut self, net: &Network, node: NodeId, of: NodeId) -> bool {
-        self.assert_synced(net);
-        if self.levels[node.index()] <= self.levels[of.index()] {
-            return false;
-        }
-        self.tfo(net, of).contains(&node)
-    }
-
-    /// Read-only variant of [`SideTables::in_tfo`] for shared (`&self`)
-    /// use from the parallel sweep's worker threads: the level table
-    /// short-circuits as usual, a memoized TFO set is consulted if one is
-    /// present, and otherwise the reachability is recomputed on the spot
-    /// *without* memoizing (the committer pre-warms the memo for the
-    /// targets it hands out, so the recompute path is the exception).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables are stale.
+    /// Panics if the tables are stale, or if the slot is empty or was
+    /// prepared for a node other than `of`.
     #[must_use]
-    pub fn in_tfo_frozen(&self, net: &Network, node: NodeId, of: NodeId) -> bool {
+    pub fn in_tfo(&self, net: &Network, node: NodeId, of: NodeId) -> bool {
         self.assert_synced(net);
-        if self.levels[node.index()] <= self.levels[of.index()] {
-            return false;
-        }
-        if let Some(set) = self.tfo.get(&of) {
-            return set.contains(&node);
-        }
-        let mut seen = HashSet::new();
-        let mut stack: Vec<NodeId> = self.fanouts[of.index()].clone();
-        while let Some(n) = stack.pop() {
-            if n == node {
-                return true;
-            }
-            if seen.insert(n) {
-                stack.extend(self.fanouts[n.index()].iter().copied());
-            }
-        }
-        false
-    }
-
-    /// The memoized TFO set of `of`, if one is cached. Read-only companion
-    /// to [`SideTables::tfo`] for shared (`&self`) consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables are stale.
-    #[must_use]
-    pub fn tfo_cached(&self, net: &Network, of: NodeId) -> Option<&HashSet<NodeId>> {
-        self.assert_synced(net);
-        self.tfo.get(&of)
-    }
-
-    /// (hits, misses) of the memoized-TFO cache since construction.
-    #[must_use]
-    pub fn tfo_cache_stats(&self) -> (u64, u64) {
-        (self.tfo_hits, self.tfo_misses)
+        let Some((_, set)) = self.tfo.as_ref().filter(|(prepared, _)| *prepared == of) else {
+            panic!("SideTables::in_tfo: transitive fanout of {of} was not prepared");
+        };
+        self.levels[node.index()] > self.levels[of.index()] && set.contains(&node)
     }
 
     /// Extends the tables over nodes created since the last
@@ -252,7 +192,6 @@ impl SideTables {
     /// before [`SideTables::apply_replace`] when an edit both adds nodes
     /// and rewires an existing one.
     pub fn sync_new_nodes(&mut self, net: &Network) {
-        self.epoch += 1;
         let old_bound = self.fanouts.len();
         if net.id_bound() == old_bound {
             self.stamp.mark(net);
@@ -278,9 +217,9 @@ impl SideTables {
                 .max()
                 .unwrap_or(0);
         }
-        // A cached TFO that reaches a new node's fanin now also reaches the
-        // new node: drop it.
-        self.invalidate_touching(&touched);
+        // A prepared TFO that reaches a new node's fanin now also reaches
+        // the new node: drop it.
+        self.drop_tfo_touching(&touched);
         self.stamp.mark(net);
     }
 
@@ -288,10 +227,9 @@ impl SideTables {
     /// `old_fanins` is the fanin list captured *before* the edit.
     ///
     /// Repairs fanout lists from the fanin diff, relevels the affected
-    /// downstream region, and invalidates only the memoized TFO sets that
-    /// could see a changed edge.
+    /// downstream region, and drops the prepared TFO only if it could see a
+    /// changed edge.
     pub fn apply_replace(&mut self, net: &Network, id: NodeId, old_fanins: &[NodeId]) {
-        self.epoch += 1;
         let new_fanins = net.node(id).fanins();
         for &f in old_fanins {
             if !new_fanins.contains(&f) {
@@ -318,39 +256,47 @@ impl SideTables {
                 stack.extend(self.fanouts[n.index()].iter().copied());
             }
         }
-        // A cached TFO changes only if a changed edge `f -> id` was (or now
-        // is) reachable from the cached node, i.e. `f` is the node itself
-        // or in its cached set.
+        // The prepared TFO changes only if a changed edge `f -> id` was (or
+        // now is) reachable from the prepared node, i.e. `f` is the node
+        // itself or in its set.
         let mut touched: HashSet<NodeId> = old_fanins
             .iter()
             .chain(new_fanins.iter())
             .copied()
             .collect();
         touched.insert(id);
-        self.invalidate_touching(&touched);
+        self.drop_tfo_touching(&touched);
         self.stamp.mark(net);
     }
 
     /// Patches the tables after `net.remove_node(id)` succeeded. The node
     /// had no fanouts, so only its fanins' fanout lists shrink; levels and
-    /// other nodes' TFO sets are unaffected (they may retain the dead id
-    /// in cached sets, which is harmless — nothing can name it as a
-    /// divisor or target).
+    /// other nodes' TFO sets are unaffected (a prepared set may retain the
+    /// dead id, which is harmless — nothing can name it as a divisor or
+    /// target).
     pub fn apply_remove(&mut self, net: &Network, id: NodeId, old_fanins: &[NodeId]) {
-        self.epoch += 1;
         for &f in old_fanins {
             self.fanouts[f.index()].retain(|&o| o != id);
         }
-        self.tfo.remove(&id);
+        if self.prepared() == Some(id) {
+            self.tfo = None;
+        }
         self.stamp.mark(net);
     }
 
-    fn invalidate_touching(&mut self, touched: &HashSet<NodeId>) {
-        if touched.is_empty() {
-            return;
+    /// The node the TFO slot is prepared for, if any.
+    fn prepared(&self) -> Option<NodeId> {
+        self.tfo.as_ref().map(|(of, _)| *of)
+    }
+
+    /// Drops the prepared TFO if its node or set meets a changed-edge
+    /// endpoint in `touched`.
+    fn drop_tfo_touching(&mut self, touched: &HashSet<NodeId>) {
+        if self.tfo.as_ref().is_some_and(|(of, set)| {
+            touched.contains(of) || touched.iter().any(|t| set.contains(t))
+        }) {
+            self.tfo = None;
         }
-        self.tfo
-            .retain(|of, set| !touched.contains(of) && touched.iter().all(|t| !set.contains(t)));
     }
 }
 
@@ -454,33 +400,66 @@ mod tests {
         let (mut net, ids) = chain();
         let (a, _b, c, g, h, _k) = (ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]);
         let mut side = SideTables::build(&net);
-        // Warm the memo so invalidation is exercised.
-        for &id in &ids {
-            side.tfo(&net, id);
-        }
+        // Prepare g's slot so the drop is exercised: g -> h is rewired
+        // away, and a stale slot would still list h and k below.
+        side.tfo(&net, g);
         // Rewire h from {g, c} to {a, c}: drops edge g->h, adds a->h.
         let old = net.node(h).fanins().to_vec();
         net.replace_function(h, vec![a, c], parse_sop(2, "ab").expect("p"))
             .expect("replace");
         side.apply_replace(&net, h, &old);
-        assert_matches_fresh(&mut side, &net);
         // g no longer reaches anything.
         assert!(side.tfo(&net, g).is_empty());
+        assert_matches_fresh(&mut side, &net);
     }
 
     #[test]
-    fn sync_new_nodes_extends_and_invalidates() {
+    fn sync_new_nodes_extends_and_drops_a_touched_slot() {
         let (mut net, ids) = chain();
-        let (a, b, h) = (ids[0], ids[1], ids[4]);
+        let (a, b, c, h) = (ids[0], ids[1], ids[2], ids[4]);
         let mut side = SideTables::build(&net);
-        side.tfo(&net, a); // warm: must be invalidated (new node hangs off a)
-        side.tfo(&net, h); // warm: must survive (h does not reach a or b)
+        // h does not reach a or b: a node hanging off them leaves the slot.
+        side.tfo(&net, h);
         let m = net
             .add_node("m", vec![a, b], parse_sop(2, "a + b").expect("p"))
             .expect("m");
         side.sync_new_nodes(&net);
-        assert_matches_fresh(&mut side, &net);
+        assert_eq!(side.prepared(), Some(h), "untouched slot survives");
+        assert!(!side.in_tfo(&net, m, h));
+        // a reaches the new node's fanin: preparing it sees m.
         assert!(side.tfo(&net, a).contains(&m));
+        // A node hanging off h itself drops h's slot.
+        side.tfo(&net, h);
+        let n = net
+            .add_node("n", vec![h, c], parse_sop(2, "ab").expect("p"))
+            .expect("n");
+        side.sync_new_nodes(&net);
+        assert_eq!(side.prepared(), None, "touched slot is dropped");
+        assert!(side.tfo(&net, h).contains(&n));
+        assert_matches_fresh(&mut side, &net);
+    }
+
+    #[test]
+    fn apply_replace_keeps_an_untouched_slot_and_drops_a_touched_one() {
+        let (mut net, ids) = chain();
+        let (a, b, c, g, h, k) = (ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]);
+        let mut side = SideTables::build(&net);
+        // k has an empty TFO and is no changed-edge endpoint of g's rewire.
+        side.tfo(&net, k);
+        let old = net.node(g).fanins().to_vec();
+        net.replace_function(g, vec![a, b], parse_sop(2, "a + b").expect("p"))
+            .expect("replace");
+        side.apply_replace(&net, g, &old);
+        assert_eq!(side.prepared(), Some(k), "untouched slot survives");
+        assert!(!side.in_tfo(&net, h, k));
+        // h's TFO {k} contains the rewired node: the slot is dropped.
+        side.tfo(&net, h);
+        let old = net.node(k).fanins().to_vec();
+        net.replace_function(k, vec![h, c], parse_sop(2, "ab").expect("p"))
+            .expect("replace");
+        side.apply_replace(&net, k, &old);
+        assert_eq!(side.prepared(), None, "touched slot is dropped");
+        assert_matches_fresh(&mut side, &net);
     }
 
     #[test]
@@ -502,46 +481,49 @@ mod tests {
         assert!(side.fanouts(&net, h).contains(&k));
     }
 
-    #[test]
-    fn frozen_in_tfo_matches_memoized_cold_and_warm() {
-        let (mut net, ids) = chain();
-        let mut side = SideTables::build(&net);
-        let epoch0 = side.epoch();
-        // Cold: no memo present, the frozen query recomputes on the spot.
-        for &x in &ids {
-            for &y in &ids {
-                let want = net.tfo(y).contains(&x);
-                assert_eq!(side.in_tfo_frozen(&net, x, y), want, "cold ({x}, {y})");
-            }
-        }
-        // Warm the memo, rewire, patch — answers must still agree.
-        for &id in &ids {
-            side.tfo(&net, id);
-        }
-        let h = ids[4];
-        let old = net.node(h).fanins().to_vec();
-        net.replace_function(h, vec![ids[0], ids[2]], parse_sop(2, "ab").expect("p"))
-            .expect("replace");
-        side.apply_replace(&net, h, &old);
-        assert!(side.epoch() > epoch0, "patching must advance the epoch");
-        for &x in &ids {
-            for &y in &ids {
-                let want = net.tfo(y).contains(&x);
-                assert_eq!(side.in_tfo_frozen(&net, x, y), want, "warm ({x}, {y})");
-                assert_eq!(side.in_tfo(&net, x, y), want, "memoized ({x}, {y})");
+    /// Every (node, of) answer of the prepared-slot query, against a fresh
+    /// `net.tfo()` recomputation.
+    fn assert_in_tfo_matches_recompute(side: &mut SideTables, net: &Network, ids: &[NodeId]) {
+        for &y in ids {
+            side.tfo(net, y);
+            let want_tfo = net.tfo(y);
+            for &x in ids {
+                let want = want_tfo.contains(&x);
+                assert_eq!(side.in_tfo(net, x, y), want, "in_tfo({x}, {y})");
             }
         }
     }
 
     #[test]
-    fn in_tfo_level_short_circuit_is_sound() {
-        let (net, ids) = chain();
+    fn prepared_in_tfo_matches_recompute_before_and_after_rewire() {
+        let (mut net, ids) = chain();
         let mut side = SideTables::build(&net);
-        for &x in &ids {
-            for &y in &ids {
-                let want = net.tfo(y).contains(&x);
-                assert_eq!(side.in_tfo(&net, x, y), want, "in_tfo({x}, {y})");
-            }
-        }
+        assert_in_tfo_matches_recompute(&mut side, &net, &ids);
+        // Rewire h from {g, c} to {a, c}, patch — answers must still agree.
+        let h = ids[4];
+        let old = net.node(h).fanins().to_vec();
+        net.replace_function(h, vec![ids[0], ids[2]], parse_sop(2, "ab").expect("p"))
+            .expect("replace");
+        side.apply_replace(&net, h, &old);
+        assert_in_tfo_matches_recompute(&mut side, &net, &ids);
+    }
+
+    #[test]
+    fn in_tfo_without_a_prepared_slot_panics() {
+        let (net, ids) = chain();
+        let (a, g, k) = (ids[0], ids[3], ids[5]);
+        let mut side = SideTables::build(&net);
+        // k is above a, but no slot is prepared at all.
+        let cold = std::panic::catch_unwind(|| side.in_tfo(&net, k, a));
+        assert!(cold.is_err(), "query with no prepared slot must panic");
+        // The slot is for g, the query is about a: also a panic, even
+        // though g's set happens to contain k.
+        side.tfo(&net, g);
+        let other = std::panic::catch_unwind(|| side.in_tfo(&net, k, a));
+        assert!(
+            other.is_err(),
+            "query against another node's slot must panic"
+        );
+        assert!(side.in_tfo(&net, k, g));
     }
 }

@@ -50,10 +50,10 @@ fn engine_preserves_output_functions_exhaustively() {
 }
 
 /// Satellite check for the hoisted TFO filter: the cached reachability
-/// answer (levels short-circuit + memoized TFO sets) must agree with a
-/// fresh `net.tfo()` recomputation for every (target, divisor) pair —
-/// before any edit, and again after an accepted substitution invalidated
-/// part of the cache.
+/// answer (levels short-circuit + the target's prepared TFO slot) must
+/// agree with a fresh `net.tfo()` recomputation for every (target,
+/// divisor) pair — before any edit, and again after an accepted
+/// substitution patched the tables.
 #[test]
 fn cached_tfo_filter_matches_recomputed_decisions() {
     use boolsubst::network::SideTables;
@@ -62,6 +62,7 @@ fn cached_tfo_filter_matches_recomputed_decisions() {
     let check_all = |net: &Network, side: &mut SideTables| {
         let ids: Vec<_> = net.internal_ids().collect();
         for &t in &ids {
+            side.tfo(net, t);
             let tfo = net.tfo(t);
             for &d in &ids {
                 assert_eq!(
