@@ -14,7 +14,7 @@ use std::path::Path;
 fn main() {
     let rows: Vec<_> = all_cases()
         .iter()
-        .map(|case| (case.id.clone(), run(case, 1)))
+        .map(|case| (case.id.clone(), run(case)))
         .collect();
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

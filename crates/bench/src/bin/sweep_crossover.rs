@@ -4,10 +4,9 @@
 //! suffices); every extra cube hides the core deeper, and only divisor
 //! decomposition (Section IV) can recover it.
 //!
-//! The binary also times the parallel speculative sweep at 1/2/4/8
-//! threads on a ≥ 200-node generated workload, plus node-count,
-//! discovery and guard sweeps, and writes the numbers to
-//! `BENCH_sweep.json` / `BENCH_guard.json`. "Candidates/s" counts every
+//! The binary also runs node-count, discovery and guard sweeps and
+//! writes the numbers to `BENCH_sweep.json` / `BENCH_guard.json`.
+//! "Candidates/s" counts every
 //! (target, divisor) pair the sweep disposed of per wall-clock second,
 //! including pairs the support-overlap index rejected without ever
 //! materialising them.
@@ -18,8 +17,7 @@ use boolsubst_algebraic::{algebraic_resub, network_factored_literals, ResubOptio
 use boolsubst_core::verify::networks_equivalent;
 use boolsubst_core::{Discovery, Session, SubstOptions, SubstStats};
 use boolsubst_guard::TierPolicy;
-use boolsubst_metrics::MetricsHandle;
-use boolsubst_network::{write_blif, Network};
+use boolsubst_network::Network;
 use boolsubst_trace::export::{chrome_trace_string, jsonl_string};
 use boolsubst_trace::json::{json_array_pretty, JsonObj};
 use boolsubst_trace::{GuardTier, Tracer};
@@ -28,181 +26,6 @@ use boolsubst_workloads::generator::{
 };
 use boolsubst_workloads::large::{large_network, Family};
 use boolsubst_workloads::scripts::script_a;
-
-/// One baseline-vs-subject measurement on a fixed workload and mode: the
-/// `extended_mt` scaling rows, whose baseline is the 1-thread engine and
-/// whose subject is the engine at `threads` workers (the `legacy_*` field
-/// names are kept for continuity of the BENCH_sweep.json schema).
-struct SweepRow {
-    mode: &'static str,
-    threads: usize,
-    /// CPUs the host actually offers — scaling rows are only meaningful
-    /// relative to this (a 1-CPU container can never beat 1.0x).
-    host_cpus: usize,
-    nodes: usize,
-    pairs: usize,
-    legacy_secs: f64,
-    engine_secs: f64,
-    legacy_cand_per_s: f64,
-    engine_cand_per_s: f64,
-    speedup: f64,
-    substitutions: usize,
-    literal_gain: i64,
-    sim_pairs_screened: usize,
-    sim_pairs_refuted: usize,
-    sim_false_passes: usize,
-    sim_refinements: usize,
-    sim_patterns: usize,
-    /// Per-stage overhead attribution from a metered re-run; only the
-    /// multi-threaded `extended_mt` rows carry one.
-    util: Option<SweepUtil>,
-}
-
-/// Utilization breakdown of one metered multi-threaded run: where the
-/// `wall × threads` worker-seconds actually went. `idle_frac` is the
-/// remainder (committer enumeration/merge, cursor traffic, scheduling),
-/// so the four fractions sum to 1 by construction.
-struct SweepUtil {
-    wall_secs: f64,
-    epochs: u64,
-    proof_frac: f64,
-    commit_frac: f64,
-    wait_frac: f64,
-    idle_frac: f64,
-    workers: Vec<WorkerUtil>,
-}
-
-/// One sweep worker's lifetime totals (worker 0 is the committer's
-/// inline drain lane).
-struct WorkerUtil {
-    worker: u64,
-    proof_ns: u64,
-    wait_ns: u64,
-    idle_ns: u64,
-    pairs: u64,
-}
-
-/// Runs the sweep once, untimed-for-ranking but metered: a fresh
-/// [`MetricsHandle`] is attached and the published `sweep.*` counters are
-/// folded into fractions of the run's total worker-seconds.
-fn metered_util(net: &Network, opts: &SubstOptions, threads: usize) -> SweepUtil {
-    let handle = MetricsHandle::new();
-    let mut trial = net.clone();
-    let start = Instant::now();
-    Session::new(&mut trial, opts.clone())
-        .metrics(&handle)
-        .run();
-    let wall_secs = start.elapsed().as_secs_f64();
-    let c = |key: &str| handle.counter_value(key).unwrap_or(0);
-    let denom = (wall_secs * threads as f64 * 1e9).max(1.0);
-    let proof_frac = c("sweep.proof_ns") as f64 / denom;
-    let commit_frac = c("sweep.commit_ns") as f64 / denom;
-    let wait_frac = c("sweep.wait_ns") as f64 / denom;
-    let idle_frac = (1.0 - proof_frac - commit_frac - wait_frac).max(0.0);
-    let workers = (0..threads)
-        .map(|w| WorkerUtil {
-            worker: u64::try_from(w).unwrap_or(u64::MAX),
-            proof_ns: c(&format!("sweep.worker.{w}.proof_ns")),
-            wait_ns: c(&format!("sweep.worker.{w}.wait_ns")),
-            idle_ns: c(&format!("sweep.worker.{w}.idle_ns")),
-            pairs: c(&format!("sweep.worker.{w}.pairs")),
-        })
-        .collect();
-    SweepUtil {
-        wall_secs,
-        epochs: c("sweep.epochs"),
-        proof_frac,
-        commit_frac,
-        wait_frac,
-        idle_frac,
-        workers,
-    }
-}
-
-/// Timing policy: the reported time is the minimum over repeated runs —
-/// the standard guard against scheduler and frequency noise. Every
-/// measurement takes at least [`MIN_REPS`] samples and keeps sampling
-/// until [`MIN_BUDGET_SECS`] of total run time (capped at [`MAX_REPS`]),
-/// so a fast subject gets proportionally more chances to catch a quiet
-/// window than a slow one. The substitution itself is deterministic, so
-/// stats and BLIF are identical across repetitions (asserted).
-const MIN_REPS: usize = 3;
-const MAX_REPS: usize = 25;
-const MIN_BUDGET_SECS: f64 = 0.75;
-
-fn timed(net: &Network, opts: &SubstOptions) -> (f64, SubstStats, String) {
-    let mut best: Option<(f64, SubstStats, String)> = None;
-    let mut spent = 0.0f64;
-    for rep in 0..MAX_REPS {
-        if rep >= MIN_REPS && spent >= MIN_BUDGET_SECS {
-            break;
-        }
-        let mut trial = net.clone();
-        let start = Instant::now();
-        let stats = Session::new(&mut trial, opts.clone()).run();
-        let secs = start.elapsed().as_secs_f64();
-        spent += secs;
-        let blif = write_blif(&trial);
-        match &best {
-            Some((b, _, prev)) => {
-                assert_eq!(prev, &blif, "non-deterministic substitution");
-                if secs < *b {
-                    best = Some((secs, stats, blif));
-                }
-            }
-            None => best = Some((secs, stats, blif)),
-        }
-    }
-    best.expect("MIN_REPS >= 1")
-}
-
-fn json_row(r: &SweepRow) -> String {
-    fn u(v: usize) -> u64 {
-        u64::try_from(v).unwrap_or(u64::MAX)
-    }
-    let mut obj = JsonObj::new();
-    obj.str("mode", r.mode)
-        .str("discovery", Discovery::Overlap.name())
-        .u64("threads", u(r.threads))
-        .u64("host_cpus", u(r.host_cpus))
-        .u64("nodes", u(r.nodes))
-        .u64("pairs", u(r.pairs))
-        .f64("legacy_secs", r.legacy_secs, 6)
-        .f64("engine_secs", r.engine_secs, 6)
-        .f64("legacy_candidates_per_s", r.legacy_cand_per_s, 1)
-        .f64("engine_candidates_per_s", r.engine_cand_per_s, 1)
-        .f64("speedup", r.speedup, 2)
-        .u64("substitutions", u(r.substitutions))
-        .i64("literal_gain", r.literal_gain)
-        .u64("sim_pairs_screened", u(r.sim_pairs_screened))
-        .u64("sim_pairs_refuted", u(r.sim_pairs_refuted))
-        .u64("sim_false_passes", u(r.sim_false_passes))
-        .u64("sim_refinements", u(r.sim_refinements))
-        .u64("sim_patterns", u(r.sim_patterns));
-    if let Some(ut) = &r.util {
-        obj.f64("util_wall_secs", ut.wall_secs, 6)
-            .u64("epochs", ut.epochs)
-            .f64("proof_frac", ut.proof_frac, 4)
-            .f64("commit_frac", ut.commit_frac, 4)
-            .f64("wait_frac", ut.wait_frac, 4)
-            .f64("idle_frac", ut.idle_frac, 4);
-        let workers: Vec<String> = ut
-            .workers
-            .iter()
-            .map(|w| {
-                JsonObj::new()
-                    .u64("worker", w.worker)
-                    .u64("proof_ns", w.proof_ns)
-                    .u64("wait_ns", w.wait_ns)
-                    .u64("idle_ns", w.idle_ns)
-                    .u64("pairs", w.pairs)
-                    .finish()
-            })
-            .collect();
-        obj.raw("workers", &format!("[{}]", workers.join(", ")));
-    }
-    obj.finish()
-}
 
 /// Re-runs each mode once with a [`Tracer`] attached and writes the
 /// requested exports: one JSONL stream (modes concatenated; each starts
@@ -239,9 +62,9 @@ fn traced_runs(net: &Network, trace_path: Option<&str>, chrome_path: Option<&str
     }
 }
 
-/// One engine run on a large generated instance. Unlike [`SweepRow`]
-/// these rows have no baseline and carry a deadline instead, so the
-/// sweep records throughput-at-scale without unbounded wall time.
+/// One engine run on a large generated instance. The rows carry a
+/// deadline, so the sweep records throughput-at-scale without unbounded
+/// wall time.
 struct NodeRow {
     mode: &'static str,
     family: &'static str,
@@ -597,7 +420,7 @@ fn guard_sweep(smoke: bool) -> Vec<GuardRow> {
     rows
 }
 
-/// The ≥ 200-node generated workload of the scaling rows (60 nodes under
+/// The ≥ 200-node generated workload of the traced runs (60 nodes under
 /// `--smoke`).
 fn scaling_workload(smoke: bool) -> Network {
     let params = GeneratorParams {
@@ -608,92 +431,10 @@ fn scaling_workload(smoke: bool) -> Network {
     random_network(9001, &params)
 }
 
-/// Scaling rows for the speculative parallel sweep: the extended mode at
-/// 1/2/4/8 worker threads against the 1-thread engine baseline. Every
-/// width must produce a bit-identical network (asserted) — the parallel
-/// sweep only changes wall-clock, never the rewrites.
-fn parallel_scaling(net: &Network) -> Vec<SweepRow> {
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    println!(
-        "\nParallel speculative sweep — extended mode, epoch commits ({host_cpus} host CPU(s))\n"
-    );
-    println!(
-        "{:<14} {:>8} {:>10} {:>12} {:>14} {:>8}",
-        "mode", "threads", "pairs", "secs", "cand/s", "speedup"
-    );
-    let (base_secs, base, base_blif) = timed(net, &SubstOptions::extended());
-    let base_pairs = base.candidates_enumerated + base.filtered_by_index;
-    let base_rate = base_pairs as f64 / base_secs;
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let opts = SubstOptions::extended().with_threads(threads);
-        let (secs, stats, blif) = if threads == 1 {
-            (base_secs, base, base_blif.clone())
-        } else {
-            timed(net, &opts)
-        };
-        assert_eq!(
-            blif, base_blif,
-            "threads={threads}: parallel sweep diverged from sequential"
-        );
-        assert_eq!(
-            stats.substitutions, base.substitutions,
-            "threads={threads}: substitutions"
-        );
-        assert_eq!(
-            stats.literal_gain, base.literal_gain,
-            "threads={threads}: literal gain"
-        );
-        let pairs = stats.candidates_enumerated + stats.filtered_by_index;
-        let rate = pairs as f64 / secs;
-        // Attribution re-run: meter where the worker-seconds go. Kept
-        // separate from the timed run so the ranking numbers stay free
-        // of even the (tiny) metered overhead.
-        let util = (threads > 1).then(|| metered_util(net, &opts, threads));
-        let row = SweepRow {
-            mode: "extended_mt",
-            threads,
-            host_cpus,
-            nodes: net.internal_ids().count(),
-            pairs: stats.candidates_enumerated,
-            legacy_secs: base_secs,
-            engine_secs: secs,
-            legacy_cand_per_s: base_rate,
-            engine_cand_per_s: rate,
-            speedup: rate / base_rate,
-            substitutions: stats.substitutions,
-            literal_gain: stats.literal_gain,
-            sim_pairs_screened: stats.sim_pairs_screened,
-            sim_pairs_refuted: stats.sim_pairs_refuted,
-            sim_false_passes: stats.sim_false_passes,
-            sim_refinements: stats.sim_refinements,
-            sim_patterns: stats.sim_patterns,
-            util,
-        };
-        println!(
-            "{:<14} {:>8} {:>10} {:>12.3} {:>14.0} {:>7.2}x",
-            row.mode, row.threads, row.pairs, row.engine_secs, row.engine_cand_per_s, row.speedup
-        );
-        if let Some(ut) = &row.util {
-            println!(
-                "{:<14} epochs {:>5}  proof {:>5.1}%  commit {:>5.1}%  wait {:>5.1}%  idle {:>5.1}%",
-                "  utilization",
-                ut.epochs,
-                100.0 * ut.proof_frac,
-                100.0 * ut.commit_frac,
-                100.0 * ut.wait_frac,
-                100.0 * ut.idle_frac
-            );
-        }
-        rows.push(row);
-    }
-    rows
-}
-
 fn main() {
-    // --smoke: a CI-sized run — one padding level, one seed, and a small
-    // scaling workload — exercising the full measurement and
-    // BENCH_sweep.json plumbing in seconds.
+    // --smoke: a CI-sized run — one padding level, one seed, and small
+    // sweeps — exercising the full measurement and BENCH_sweep.json
+    // plumbing in seconds.
     // --trace <out.jsonl> / --chrome-trace <out.json>: after the timing
     // runs, re-run each mode with a tracer attached and export the
     // recorded spans (JSONL events / chrome://tracing format).
@@ -764,14 +505,12 @@ fn main() {
          with padding — at 0 the two coincide, past the crossover only the\n\
          decomposing divider can reach the buried cores)"
     );
-    let net = scaling_workload(smoke);
-    let rows = parallel_scaling(&net);
     let node_rows = node_sweep(smoke);
     let disc_rows = discovery_sweep(smoke);
     let json = json_array_pretty(
-        rows.iter()
-            .map(json_row)
-            .chain(node_rows.iter().map(json_node_row))
+        node_rows
+            .iter()
+            .map(json_node_row)
             .chain(disc_rows.iter().map(json_disc_row)),
     );
     std::fs::write("BENCH_sweep.json", json).expect("write BENCH_sweep.json");
@@ -781,6 +520,6 @@ fn main() {
     std::fs::write("BENCH_guard.json", guard_json).expect("write BENCH_guard.json");
     println!("\nwrote BENCH_guard.json");
     if trace_path.is_some() || chrome_path.is_some() {
-        traced_runs(&net, trace_path, chrome_path);
+        traced_runs(&scaling_workload(smoke), trace_path, chrome_path);
     }
 }

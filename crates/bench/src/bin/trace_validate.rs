@@ -17,10 +17,8 @@
 //! * Chrome: the whole file parses as a JSON array; every event is a
 //!   `ph: "M"` metadata or `ph: "X"` complete event with numeric
 //!   `ts`/`dur`; `ts` is monotonically non-decreasing per `(pid, tid)`.
-//! * BENCH tables: every row carries its kind's required keys with the
-//!   right JSON types; multi-threaded `extended_mt` rows must publish
-//!   the proof/commit/wait/idle utilization fractions (each in [0, 1])
-//!   and one per-worker breakdown entry per configured worker.
+//! * BENCH tables: every row carries a known `kind` and that kind's
+//!   required keys with the right JSON types.
 //! * Prometheus: every sample line parses as `name[{labels}] value`,
 //!   every series is preceded by its `# TYPE` declaration, and each
 //!   histogram exposes cumulative `_bucket` series ending in `+Inf`
@@ -207,91 +205,15 @@ fn check_keys(row: &Json, keys: &[(&str, Ty)]) -> Result<(), String> {
     Ok(())
 }
 
-/// Required keys of the multi-threaded utilization block (satellite of
-/// the metrics layer): per-stage fractions plus a per-worker breakdown.
-fn check_mt_util(row: &Json, threads: u64) -> Result<(), String> {
-    for key in ["proof_frac", "commit_frac", "wait_frac", "idle_frac"] {
-        let v = row
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("extended_mt threads={threads}: missing {key}"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{key} = {v} outside [0, 1]"));
-        }
-    }
-    check_keys(row, &[("util_wall_secs", Ty::F64), ("epochs", Ty::U64)])?;
-    let workers = row
-        .get("workers")
-        .and_then(Json::as_array)
-        .ok_or("extended_mt row missing workers array")?;
-    if workers.len() as u64 != threads {
-        return Err(format!(
-            "workers array has {} entries for threads={threads}",
-            workers.len()
-        ));
-    }
-    for (i, w) in workers.iter().enumerate() {
-        check_keys(
-            w,
-            &[
-                ("worker", Ty::U64),
-                ("proof_ns", Ty::U64),
-                ("wait_ns", Ty::U64),
-                ("idle_ns", Ty::U64),
-                ("pairs", Ty::U64),
-            ],
-        )
-        .map_err(|e| format!("worker entry {i}: {e}"))?;
-    }
-    Ok(())
-}
-
 fn validate_bench_sweep(text: &str) -> Result<(), String> {
     let v = Json::parse(text).map_err(|e| format!("BENCH_sweep: {e}"))?;
     let rows = v.as_array().ok_or("BENCH_sweep is not a JSON array")?;
     if rows.is_empty() {
         return Err("BENCH_sweep is empty".into());
     }
-    let mut mt_util_rows = 0usize;
     let mut discovery_rows = 0usize;
     for (i, row) in rows.iter().enumerate() {
         let res = match row.get("kind").and_then(Json::as_str) {
-            None => {
-                // extended_mt scaling rows.
-                check_keys(
-                    row,
-                    &[
-                        ("mode", Ty::Str),
-                        ("discovery", Ty::Str),
-                        ("threads", Ty::U64),
-                        ("host_cpus", Ty::U64),
-                        ("nodes", Ty::U64),
-                        ("pairs", Ty::U64),
-                        ("legacy_secs", Ty::F64),
-                        ("engine_secs", Ty::F64),
-                        ("legacy_candidates_per_s", Ty::F64),
-                        ("engine_candidates_per_s", Ty::F64),
-                        ("speedup", Ty::F64),
-                        ("substitutions", Ty::U64),
-                        ("literal_gain", Ty::I64),
-                        ("sim_pairs_screened", Ty::U64),
-                        ("sim_pairs_refuted", Ty::U64),
-                        ("sim_false_passes", Ty::U64),
-                        ("sim_refinements", Ty::U64),
-                        ("sim_patterns", Ty::U64),
-                    ],
-                )
-                .and_then(|()| {
-                    let mode = row.get("mode").and_then(Json::as_str).unwrap_or("");
-                    let threads = row.get("threads").and_then(Json::as_u64).unwrap_or(1);
-                    if mode == "extended_mt" && threads >= 2 {
-                        mt_util_rows += 1;
-                        check_mt_util(row, threads)
-                    } else {
-                        Ok(())
-                    }
-                })
-            }
             Some("node_sweep") => check_keys(
                 row,
                 &[
@@ -346,18 +268,15 @@ fn validate_bench_sweep(text: &str) -> Result<(), String> {
                 })
             }
             Some(other) => Err(format!("unknown row kind {other:?}")),
+            None => Err("row without a kind".into()),
         };
         res.map_err(|e| format!("row {i}: {e}"))?;
-    }
-    if mt_util_rows == 0 {
-        return Err("no multi-threaded extended_mt utilization rows".into());
     }
     if discovery_rows == 0 {
         return Err("no discovery crossover rows".into());
     }
     println!(
-        "bench-sweep ok: {} rows, {mt_util_rows} with worker utilization, \
-         {discovery_rows} discovery",
+        "bench-sweep ok: {} rows, {discovery_rows} discovery",
         rows.len()
     );
     Ok(())

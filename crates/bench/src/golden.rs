@@ -24,15 +24,6 @@ use std::collections::BTreeMap;
 /// The table's path relative to the workspace root.
 pub const TABLE_PATH: &str = "tests/golden_quality.txt";
 
-/// Random-network seeds whose overlap rows are also checked at
-/// [`PARALLEL_THREADS`] workers against the same (1-thread) row.
-const PARALLEL_SEEDS: [u64; 2] = [11, 47];
-
-/// Worker count for the parallel re-check of the overlap rows of random
-/// seeds 11 and 47 and of every [`Group::Policy`] row (see
-/// [`Case::parallel_checked`]).
-pub const PARALLEL_THREADS: usize = 4;
-
 /// Row families, one per test function so the families run in parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Group {
@@ -45,8 +36,7 @@ pub enum Group {
     /// Planted networks (seeds 5/9).
     Planted,
     /// Random seed 29 and planted seed 9 under first- and best-gain
-    /// acceptance with up to 3 passes; also checked at
-    /// [`PARALLEL_THREADS`] workers.
+    /// acceptance with up to 3 passes.
     Policy,
     /// The 2k-node adder from the large-instance generator.
     Large,
@@ -101,25 +91,15 @@ pub struct Case {
     pub id: String,
     circuit: Circuit,
     opts: SubstOptions,
-    parallel: bool,
 }
 
 impl Case {
     fn new(circuit: Circuit, name: &str, config: &str, opts: SubstOptions) -> Case {
-        let parallel = matches!(circuit, Circuit::Random(seed) if PARALLEL_SEEDS.contains(&seed))
-            && opts.discovery == Discovery::Overlap;
         Case {
             id: format!("{name}/{config}/{}", opts.discovery.name()),
             circuit,
             opts,
-            parallel,
         }
-    }
-
-    /// Whether this row is also checked at [`PARALLEL_THREADS`] workers.
-    #[must_use]
-    pub fn parallel_checked(&self) -> bool {
-        self.parallel
     }
 }
 
@@ -180,10 +160,7 @@ pub fn cases(group: Group) -> Vec<Case> {
                             .with_acceptance(acceptance)
                             .with_max_passes(3)
                             .with_discovery(discovery);
-                        out.push(Case {
-                            parallel: true,
-                            ..Case::new(circuit, name, label, opts)
-                        });
+                        out.push(Case::new(circuit, name, label, opts));
                     }
                 }
             }
@@ -213,15 +190,15 @@ pub fn all_cases() -> Vec<Case> {
     Group::ALL.into_iter().flat_map(cases).collect()
 }
 
-/// Runs one case at `threads` workers and renders its pinned result:
+/// Runs one case and renders its pinned result:
 /// the acceptance counters, division attempts, passes, final factored
 /// literals and the FNV-1a hash of the written BLIF.
 /// Rows compare as text, so a table row matches exactly when every field
 /// does.
 #[must_use]
-pub fn run(case: &Case, threads: usize) -> String {
+pub fn run(case: &Case) -> String {
     let mut net = case.circuit.build();
-    let s = Session::new(&mut net, case.opts.clone().with_threads(threads)).run();
+    let s = Session::new(&mut net, case.opts.clone()).run();
     format!(
         "subs={} pos={} ext={} gain={} tried={} passes={} lits={} blif={:016x}",
         s.substitutions,

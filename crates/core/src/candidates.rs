@@ -103,8 +103,7 @@ pub trait CandidateSource {
     /// `bound` (the id snapshot taken at target-visit time) and, when
     /// `cursor` is set, strictly above it (the resume point after an
     /// acceptance). Candidates must come back sorted ascending — the
-    /// engine's visit order and the parallel sweep's ordered-commit
-    /// protocol both depend on it.
+    /// engine's visit order and its resume cursor depend on it.
     fn candidates(
         &mut self,
         ctx: &SourceCtx<'_>,

@@ -91,15 +91,6 @@ pub fn counts() -> ChaosCounts {
     STATE.with(|s| s.borrow().as_ref().map(|st| st.counts).unwrap_or_default())
 }
 
-/// The configuration this thread is armed with, if any. Chaos state is
-/// thread-local, so the parallel sweep reads the committer's config here
-/// and re-arms each worker thread with it (workers keep their own RNG
-/// stream and counters).
-#[must_use]
-pub fn current_config() -> Option<ChaosConfig> {
-    STATE.with(|s| s.borrow().as_ref().map(|st| st.config))
-}
-
 /// One xorshift step + rate roll: `Some(random)` when the class fires.
 fn roll(pick_rate: impl Fn(&ChaosConfig) -> u32) -> Option<u64> {
     STATE.with(|s| {

@@ -317,14 +317,13 @@ impl<'a> SubstEngine<'a> {
         engine
     }
 
-    /// Attaches a metrics registry: resolves every engine instrument
-    /// (including per-worker sweep slots for `opts.threads` workers) and
+    /// Attaches a metrics registry: resolves every engine instrument and
     /// forwards the handle to the guard and sim filter so their tier and
     /// funnel counters land in the same registry. Attachment never
     /// changes the accepted rewrites (pinned by
     /// `metrics_attachment_is_invisible`).
     pub fn attach_metrics(&mut self, handle: &MetricsHandle) {
-        let metrics = EngineMetrics::resolve(handle, self.opts.threads.get());
+        let metrics = EngineMetrics::resolve(handle);
         let nodes = i64::try_from(self.net.node_ids().count()).unwrap_or(i64::MAX);
         metrics.nodes.set(nodes);
         metrics.peak_nodes.max(nodes);
@@ -600,13 +599,9 @@ impl<'a> SubstEngine<'a> {
 
     fn visit_target(&mut self, target: NodeId) {
         match self.opts.acceptance {
-            // Dry runs through the epoch machinery at any width, see
-            // `crate::parallel`.
+            // Read-only dry runs, then one live commit; see
+            // `crate::best_gain`.
             Acceptance::BestGain => self.best_gain(target),
-            // Epoch-parallel speculative sweep; bit-identical rewrites.
-            Acceptance::FirstGain if self.opts.threads.get() > 1 => {
-                self.parallel_first_gain(target);
-            }
             Acceptance::FirstGain => {
                 let bound = self.net.id_bound();
                 let mut cursor: Option<NodeId> = None;

@@ -19,7 +19,7 @@
 //!   and [`SignatureClasses`] (sim-resub signature-class proposal),
 //!   selected by [`SubstOptions::with_discovery`];
 //! * [`session`] — the [`Session`] builder, the one blessed entry point
-//!   for running a sweep (tracing, thread count, options);
+//!   for running a sweep (options, tracing, metrics);
 //! * [`netcircuit`] — whole-network gate materialization for the global
 //!   don't-care mode;
 //! * [`txn`] — transactional snapshots powering the checked-apply mode's
@@ -41,6 +41,7 @@
 //! # }
 //! ```
 
+mod best_gain;
 pub mod candidates;
 pub mod division;
 pub mod dontcare;
@@ -49,7 +50,6 @@ pub mod extended;
 mod metrics;
 pub mod netcircuit;
 pub mod paper;
-mod parallel;
 pub mod session;
 pub mod sos;
 pub mod subst;

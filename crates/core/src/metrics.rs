@@ -1,19 +1,15 @@
-//! Resolved metric instruments for the engine and the speculative
-//! sweep.
+//! Resolved metric instruments for the engine.
 //!
 //! [`EngineMetrics`] is the engine-side counterpart of the guard's and
 //! sim filter's attachments: every instrument is resolved once when a
 //! [`MetricsHandle`] is attached (see `SubstEngine::attach_metrics`),
-//! so the sweep hot path only ever touches atomics. Per-worker
-//! instruments are resolved eagerly for every configured worker — the
-//! `sweep.worker.<i>.*` keys exist (at zero) even for workers that
-//! never get to run, keeping the exposition schema stable across runs.
+//! so the sweep hot path only ever touches atomics.
 //!
 //! Two update disciplines coexist:
 //!
-//! - **hot**: pair counts, acceptances, gain, the pair-latency
-//!   histogram, and the sweep utilization counters are bumped inline
-//!   (one relaxed atomic op each) so the heartbeat sees live progress;
+//! - **hot**: pair counts, acceptances, gain and the pair-latency
+//!   histogram are bumped inline (one relaxed atomic op each) so the
+//!   heartbeat sees live progress;
 //! - **synced**: per-stage nanosecond attribution and the sim funnel
 //!   are folded in from [`SubstStats`] deltas once per pass via
 //!   [`EngineMetrics::sync`] — zero added cost on the per-pair path.
@@ -21,20 +17,6 @@
 use boolsubst_metrics::{Counter, Gauge, Histogram, MetricsHandle};
 
 use crate::subst::SubstStats;
-
-/// Utilization instruments for one speculative-sweep worker.
-#[derive(Debug, Clone)]
-pub(crate) struct WorkerMetrics {
-    /// Time spent inside `speculate_pair` proofs.
-    pub(crate) proof_ns: Counter,
-    /// Time spent blocked on the shared result-list lock.
-    pub(crate) wait_ns: Counter,
-    /// Drain wall time not attributable to proofs or lock waits
-    /// (cursor traffic, scheduling, spin-down after the bound drops).
-    pub(crate) idle_ns: Counter,
-    /// Pairs this worker speculatively evaluated.
-    pub(crate) pairs: Counter,
-}
 
 /// The engine's resolved instrument bundle; see the module docs.
 #[derive(Debug)]
@@ -48,12 +30,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) targets_done: Gauge,
     pub(crate) nodes: Gauge,
     pub(crate) peak_nodes: Gauge,
-    pub(crate) sweep_epochs: Counter,
-    pub(crate) sweep_commit_ns: Counter,
-    pub(crate) sweep_proof_ns: Counter,
-    pub(crate) sweep_wait_ns: Counter,
-    pub(crate) sweep_idle_ns: Counter,
-    pub(crate) workers: Vec<WorkerMetrics>,
     stage_enumerate_ns: Counter,
     stage_filter_ns: Counter,
     stage_sim_ns: Counter,
@@ -75,17 +51,8 @@ pub(crate) struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Resolves every engine instrument (including `workers` slots for
-    /// worker indices `0..threads`) against `handle`.
-    pub(crate) fn resolve(handle: &MetricsHandle, threads: usize) -> EngineMetrics {
-        let workers = (0..threads)
-            .map(|w| WorkerMetrics {
-                proof_ns: handle.counter(&format!("sweep.worker.{w}.proof_ns")),
-                wait_ns: handle.counter(&format!("sweep.worker.{w}.wait_ns")),
-                idle_ns: handle.counter(&format!("sweep.worker.{w}.idle_ns")),
-                pairs: handle.counter(&format!("sweep.worker.{w}.pairs")),
-            })
-            .collect();
+    /// Resolves every engine instrument against `handle`.
+    pub(crate) fn resolve(handle: &MetricsHandle) -> EngineMetrics {
         EngineMetrics {
             pairs: handle.counter("engine.pairs"),
             accepts: handle.counter("engine.accepts"),
@@ -96,12 +63,6 @@ impl EngineMetrics {
             targets_done: handle.gauge("engine.targets_done"),
             nodes: handle.gauge("engine.nodes"),
             peak_nodes: handle.gauge("engine.peak_nodes"),
-            sweep_epochs: handle.counter("sweep.epochs"),
-            sweep_commit_ns: handle.counter("sweep.commit_ns"),
-            sweep_proof_ns: handle.counter("sweep.proof_ns"),
-            sweep_wait_ns: handle.counter("sweep.wait_ns"),
-            sweep_idle_ns: handle.counter("sweep.idle_ns"),
-            workers,
             stage_enumerate_ns: handle.counter("engine.stage.enumerate_ns"),
             stage_filter_ns: handle.counter("engine.stage.filter_ns"),
             stage_sim_ns: handle.counter("engine.stage.sim_ns"),

@@ -6,8 +6,8 @@
 
 use boolsubst_atpg::{Circuit, GateId};
 use boolsubst_cube::{Cover, Cube, Lit, Phase};
-use boolsubst_network::{Network, NodeId};
-use std::collections::{HashMap, HashSet};
+use boolsubst_network::{Network, NodeBits, NodeId};
+use std::collections::HashMap;
 
 /// A network materialized as gates.
 #[derive(Debug)]
@@ -233,14 +233,14 @@ impl ShadowBase {
     /// its complement is fanin-closed, so every snapshot node's fanins are
     /// in the snapshot.
     #[must_use]
-    pub fn prepare(net: &Network, target: NodeId, tfo: &HashSet<NodeId>) -> ShadowBase {
+    pub fn prepare(net: &Network, target: NodeId, tfo: &NodeBits) -> ShadowBase {
         let mut state = BuilderState::new(net);
         let mut tfo_order = Vec::new();
         for id in net.topo_order() {
             if id == target {
                 continue;
             }
-            if tfo.contains(&id) {
+            if tfo.contains(id) {
                 tfo_order.push(id);
                 continue;
             }
@@ -624,6 +624,7 @@ mod tests {
         use crate::division::split_remainder;
         use crate::subst::{filter_pair, SubstOptions, SubstStats};
         use boolsubst_atpg::{remove_redundant_wires_with, RemovalOptions};
+        use boolsubst_network::SideTables;
         use boolsubst_workloads::generator::{
             planted_network, random_network, GeneratorParams, PlantedParams,
         };
@@ -651,13 +652,13 @@ mod tests {
         ];
         let mut pairs = 0usize;
         for net in &nets {
+            let mut side = SideTables::build(net);
             let n = net.inputs().len();
             let patterns: Vec<Vec<bool>> = (0u32..1 << n)
                 .map(|m| (0..n).map(|i| (m >> i) & 1 == 1).collect())
                 .collect();
             for target in net.internal_ids() {
-                let tfo: HashSet<NodeId> = net.tfo(target).into_iter().collect();
-                let base = ShadowBase::prepare(net, target, &tfo);
+                let base = ShadowBase::prepare(net, target, side.tfo(net, target));
                 for divisor in net.internal_ids() {
                     let mut stats = SubstStats::default();
                     let Ok(space) = filter_pair(net, target, divisor, &opts, &mut stats, || {

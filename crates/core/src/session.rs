@@ -1,7 +1,7 @@
 //! The unified substitution entry point: one builder for every way of
 //! running the sweep — construct a [`SubstEngine`], maybe attach a
-//! tracer or a metrics handle, run. The thread count is an option
-//! ([`SubstOptions::with_threads`]):
+//! tracer or a metrics handle, run. Everything else is an option
+//! ([`SubstOptions`]):
 //!
 //! ```
 //! use boolsubst_core::{Session, SubstOptions};
@@ -12,7 +12,7 @@
 //! # let b = net.add_input("b").unwrap();
 //! # let f = net.add_node("f", vec![a, b], parse_sop(2, "ab").unwrap()).unwrap();
 //! # net.add_output("f", f).unwrap();
-//! let stats = Session::new(&mut net, SubstOptions::extended().with_threads(4)).run();
+//! let stats = Session::new(&mut net, SubstOptions::extended().with_checked(true)).run();
 //! ```
 
 use crate::engine::SubstEngine;
@@ -28,8 +28,8 @@ use boolsubst_trace::Tracer;
 ///
 /// The builder borrows the network mutably for its whole life, so a
 /// `Session` cannot outlive or alias the network it rewrites. Attaching a
-/// tracer or a metrics handle never changes the accepted rewrites, and
-/// one thread (the default) runs no worker threads at all.
+/// tracer or a metrics handle never changes the accepted rewrites. The
+/// sweep runs on the calling thread.
 pub struct Session<'n, 't> {
     net: &'n mut Network,
     opts: SubstOptions,
@@ -60,9 +60,8 @@ impl<'n, 't> Session<'n, 't> {
     }
 
     /// Attaches a metrics registry: pair/accept/gain counters, per-stage
-    /// and per-guard-tier latency, the sim funnel, and per-worker sweep
-    /// utilization are all resolved against `handle` and updated live
-    /// during the run. Readers (heartbeat tickers, exposition sinks) can
+    /// and per-guard-tier latency and the sim funnel are all resolved
+    /// against `handle` and updated live during the run. Readers (heartbeat tickers, exposition sinks) can
     /// clone the handle and read concurrently.
     #[must_use]
     pub fn metrics(mut self, handle: &MetricsHandle) -> Session<'n, 't> {
@@ -153,31 +152,29 @@ mod tests {
     fn metrics_attachment_is_invisible() {
         use boolsubst_metrics::MetricsHandle;
         for opts in crate::subst::all_configs() {
-            for threads in [1usize, 4] {
-                let mut plain = small_net();
-                let sp = Session::new(&mut plain, opts.clone().with_threads(threads)).run();
-                let handle = MetricsHandle::new();
-                let mut metered = small_net();
-                let sm = Session::new(&mut metered, opts.clone().with_threads(threads))
-                    .metrics(&handle)
-                    .run();
-                assert_eq!(
-                    write_blif(&plain),
-                    write_blif(&metered),
-                    "{:?} threads={threads}: metrics changed the rewrites",
-                    opts.mode
-                );
-                assert_eq!(sp.substitutions, sm.substitutions, "{:?}", opts.mode);
-                assert_eq!(sp.literal_gain, sm.literal_gain, "{:?}", opts.mode);
-                assert!(
-                    handle.counter_value("engine.pairs").unwrap_or(0) > 0,
-                    "metrics saw no pairs"
-                );
-                assert_eq!(
-                    handle.counter_value("engine.accepts"),
-                    Some(u64::try_from(sm.substitutions).unwrap())
-                );
-            }
+            let mut plain = small_net();
+            let sp = Session::new(&mut plain, opts.clone()).run();
+            let handle = MetricsHandle::new();
+            let mut metered = small_net();
+            let sm = Session::new(&mut metered, opts.clone())
+                .metrics(&handle)
+                .run();
+            assert_eq!(
+                write_blif(&plain),
+                write_blif(&metered),
+                "{:?}: metrics changed the rewrites",
+                opts.mode
+            );
+            assert_eq!(sp.substitutions, sm.substitutions, "{:?}", opts.mode);
+            assert_eq!(sp.literal_gain, sm.literal_gain, "{:?}", opts.mode);
+            assert!(
+                handle.counter_value("engine.pairs").unwrap_or(0) > 0,
+                "metrics saw no pairs"
+            );
+            assert_eq!(
+                handle.counter_value("engine.accepts"),
+                Some(u64::try_from(sm.substitutions).unwrap())
+            );
         }
     }
 

@@ -116,7 +116,7 @@ pub enum Acceptance {
 ///
 /// ```
 /// use boolsubst_core::SubstOptions;
-/// let opts = SubstOptions::basic().with_checked(true).with_threads(4);
+/// let opts = SubstOptions::basic().with_checked(true);
 /// ```
 ///
 /// Deliberately *not* `Copy`: the options block keeps growing non-trivial
@@ -165,13 +165,6 @@ pub struct SubstOptions {
     /// with [`SubstStats::interrupted`] set. Each attempt is atomic, so
     /// the network is never left mid-rewrite. Default none.
     pub deadline: Option<Instant>,
-    /// Worker threads for the speculative sweep.
-    /// `1` (the default) runs the plain sequential engine; `N > 1` runs
-    /// the epoch-parallel sweep, which under [`Acceptance::FirstGain`]
-    /// commits in pair order and is bit-identical to the sequential
-    /// result (`tests/parallel_parity.rs`). Parallel runs always use
-    /// per-pair panic isolation for worker proofs.
-    pub threads: NonZeroUsize,
 }
 
 /// `NonZeroUsize` from a builder argument, clamping 0 up to 1 — the same
@@ -197,7 +190,6 @@ impl SubstOptions {
             checked: false,
             guard: GuardConfig::default(),
             deadline: None,
-            threads: at_least_one(1),
         }
     }
 
@@ -298,11 +290,11 @@ impl SubstOptions {
         self
     }
 
-    /// Sets the worker-thread count for the speculative sweep; `0` is
-    /// clamped to `1` (sequential).
+    /// Accepted for callers that still pass a thread count; returns
+    /// `self` unchanged. The sweep is sequential: every pair runs on the
+    /// calling thread.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> SubstOptions {
-        self.threads = at_least_one(threads);
+    pub fn with_threads(self, _threads: usize) -> SubstOptions {
         self
     }
 
@@ -822,8 +814,8 @@ pub(crate) enum PlanKind {
 
 /// A fully evaluated substitution decision, produced read-only by
 /// [`plan_pair_core`] and applied by [`apply_plan`]. Splitting planning
-/// from application is what lets the parallel sweep speculate proofs on
-/// shared `&Network` references and serialize only the commits.
+/// from application is what lets best-gain acceptance dry-run every
+/// candidate on the unchanged network and apply only the winner.
 pub(crate) enum SubstPlan {
     /// Replace `target`'s function with `cover` over `fanins`.
     Replace {
@@ -861,8 +853,7 @@ impl SubstPlan {
 ///
 /// Composition of [`plan_pair_core`] (read-only evaluation) and
 /// [`apply_plan`] (the mutation); the live `attempt` goes through here,
-/// while the epoch dry runs (both acceptance policies) call only the
-/// read-only half.
+/// while the best-gain dry runs call only the read-only half.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_pair_core(
     net: &mut Network,

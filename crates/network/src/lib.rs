@@ -40,7 +40,7 @@ pub use bridge::{aig_from_network, network_from_aig, BridgeOptions};
 pub use dot::to_dot;
 pub use io::{egress, ingest, ingest_with, Format, IngestError};
 pub use net::{EvalScratch, Network, NetworkError, Node, NodeFunc, NodeId};
-pub use side::{SideTables, VersionStamp};
+pub use side::{NodeBits, SideTables, VersionStamp};
 pub use transform::COLLAPSE_CUBE_LIMIT;
 
 /// Compares two networks on `rounds` random input vectors (plus the

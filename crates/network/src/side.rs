@@ -11,10 +11,10 @@
 //!   worklist that only visits the region whose level actually changed;
 //! - **one prepared transitive fanout** — the sweep only ever asks "is
 //!   `d` in TFO(target)?" for the target it is visiting, so a single slot
-//!   holds that target's TFO set. [`SideTables::tfo`] fills it,
-//!   [`SideTables::in_tfo`] reads it through `&self` (shareable with
-//!   worker threads), and an edit drops it only when a changed edge could
-//!   have been reachable from the prepared node.
+//!   holds that target's TFO as a [`NodeBits`] bitset. [`SideTables::tfo`]
+//!   fills it, [`SideTables::in_tfo`] reads it, and an edit drops it only
+//!   when a changed edge could have been reachable from the prepared
+//!   node.
 //!
 //! Staleness is a real hazard for this kind of cache, so every query
 //! asserts that the tables were synchronised with the network's current
@@ -25,7 +25,6 @@
 //! answer.
 
 use crate::net::{Network, NodeId};
-use std::collections::HashSet;
 
 /// The version-checked synchronisation stamp shared by every incremental
 /// side structure ([`SideTables`], the simulation signature table in
@@ -74,6 +73,41 @@ impl VersionStamp {
     }
 }
 
+/// A set of node ids, one bit per id below the bound it was sized for.
+/// Ids at or past that bound read as absent.
+#[derive(Debug, Clone, Default)]
+pub struct NodeBits {
+    words: Vec<u64>,
+}
+
+impl NodeBits {
+    /// True if `id` is in the set.
+    #[must_use]
+    pub fn contains(&self, id: NodeId) -> bool {
+        let i = id.index();
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+    }
+
+    /// Empties the set and sizes it for ids below `bound`, reusing the
+    /// allocation.
+    fn reset(&mut self, bound: usize) {
+        self.words.clear();
+        self.words.resize(bound.div_ceil(64), 0);
+    }
+
+    /// Adds `id` (which must lie below the sized bound); returns whether
+    /// it was absent.
+    fn insert(&mut self, id: NodeId) -> bool {
+        let i = id.index();
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
 /// Session-lifetime caches of fanouts, levels, and the prepared transitive
 /// fanout.
 ///
@@ -85,19 +119,13 @@ pub struct SideTables {
     stamp: VersionStamp,
     fanouts: Vec<Vec<NodeId>>,
     levels: Vec<u32>,
-    /// The prepared slot: a node and its transitive fanout (excluding the
-    /// node itself), filled by [`SideTables::tfo`].
-    tfo: Option<(NodeId, HashSet<NodeId>)>,
+    /// The node the TFO slot is prepared for; `None` when it is empty.
+    tfo_of: Option<NodeId>,
+    /// The slot: the transitive fanout of `tfo_of` (excluding the node
+    /// itself), filled by [`SideTables::tfo`]. Its allocation is reused
+    /// across fills.
+    tfo: NodeBits,
 }
-
-// The parallel sweep shares `&SideTables` (and `&Network`) across worker
-// threads; neither type may grow interior mutability without revisiting
-// that design. Compile-time pin:
-const _: fn() = || {
-    fn sync_only<T: Sync>() {}
-    sync_only::<SideTables>();
-    sync_only::<Network>();
-};
 
 impl SideTables {
     /// Builds the tables from scratch for the network's current state.
@@ -109,7 +137,8 @@ impl SideTables {
             stamp: VersionStamp::new(net),
             fanouts,
             levels,
-            tfo: None,
+            tfo_of: None,
+            tfo: NodeBits::default(),
         }
     }
 
@@ -155,19 +184,19 @@ impl SideTables {
     /// # Panics
     ///
     /// Panics if the tables are stale.
-    pub fn tfo(&mut self, net: &Network, of: NodeId) -> &HashSet<NodeId> {
+    pub fn tfo(&mut self, net: &Network, of: NodeId) -> &NodeBits {
         self.assert_synced(net);
-        if self.prepared() != Some(of) {
-            let mut seen = HashSet::new();
+        if self.tfo_of != Some(of) {
+            self.tfo.reset(self.fanouts.len());
             let mut stack: Vec<NodeId> = self.fanouts[of.index()].clone();
             while let Some(n) = stack.pop() {
-                if seen.insert(n) {
+                if self.tfo.insert(n) {
                     stack.extend(self.fanouts[n.index()].iter().copied());
                 }
             }
-            self.tfo = Some((of, seen));
+            self.tfo_of = Some(of);
         }
-        &self.tfo.as_ref().expect("slot filled above").1
+        &self.tfo
     }
 
     /// True if `node` lies in the transitive fanout of `of`. The level
@@ -181,10 +210,11 @@ impl SideTables {
     #[must_use]
     pub fn in_tfo(&self, net: &Network, node: NodeId, of: NodeId) -> bool {
         self.assert_synced(net);
-        let Some((_, set)) = self.tfo.as_ref().filter(|(prepared, _)| *prepared == of) else {
-            panic!("SideTables::in_tfo: transitive fanout of {of} was not prepared");
-        };
-        self.levels[node.index()] > self.levels[of.index()] && set.contains(&node)
+        assert!(
+            self.tfo_of == Some(of),
+            "SideTables::in_tfo: transitive fanout of {of} was not prepared"
+        );
+        self.levels[node.index()] > self.levels[of.index()] && self.tfo.contains(node)
     }
 
     /// Extends the tables over nodes created since the last
@@ -199,7 +229,7 @@ impl SideTables {
         }
         self.fanouts.resize(net.id_bound(), Vec::new());
         self.levels.resize(net.id_bound(), 0);
-        let mut touched: HashSet<NodeId> = HashSet::new();
+        let mut touched: Vec<NodeId> = Vec::new();
         for idx in old_bound..net.id_bound() {
             let id = NodeId(idx);
             let Some(node) = net.node_opt(id) else {
@@ -207,7 +237,7 @@ impl SideTables {
             };
             for &f in node.fanins() {
                 self.fanouts[f.index()].push(id);
-                touched.insert(f);
+                touched.push(f);
             }
             // Fanins of a fresh node already exist, so its level is final.
             self.levels[idx] = node
@@ -218,7 +248,8 @@ impl SideTables {
                 .unwrap_or(0);
         }
         // A prepared TFO that reaches a new node's fanin now also reaches
-        // the new node: drop it.
+        // the new node: drop it. So an undropped slot never needs the new
+        // ids, which lie past the bound it was sized for.
         self.drop_tfo_touching(&touched);
         self.stamp.mark(net);
     }
@@ -259,12 +290,8 @@ impl SideTables {
         // The prepared TFO changes only if a changed edge `f -> id` was (or
         // now is) reachable from the prepared node, i.e. `f` is the node
         // itself or in its set.
-        let mut touched: HashSet<NodeId> = old_fanins
-            .iter()
-            .chain(new_fanins.iter())
-            .copied()
-            .collect();
-        touched.insert(id);
+        let mut touched: Vec<NodeId> = old_fanins.iter().chain(new_fanins).copied().collect();
+        touched.push(id);
         self.drop_tfo_touching(&touched);
         self.stamp.mark(net);
     }
@@ -278,24 +305,20 @@ impl SideTables {
         for &f in old_fanins {
             self.fanouts[f.index()].retain(|&o| o != id);
         }
-        if self.prepared() == Some(id) {
-            self.tfo = None;
+        if self.tfo_of == Some(id) {
+            self.tfo_of = None;
         }
         self.stamp.mark(net);
     }
 
-    /// The node the TFO slot is prepared for, if any.
-    fn prepared(&self) -> Option<NodeId> {
-        self.tfo.as_ref().map(|(of, _)| *of)
-    }
-
     /// Drops the prepared TFO if its node or set meets a changed-edge
     /// endpoint in `touched`.
-    fn drop_tfo_touching(&mut self, touched: &HashSet<NodeId>) {
-        if self.tfo.as_ref().is_some_and(|(of, set)| {
-            touched.contains(of) || touched.iter().any(|t| set.contains(t))
-        }) {
-            self.tfo = None;
+    fn drop_tfo_touching(&mut self, touched: &[NodeId]) {
+        if self
+            .tfo_of
+            .is_some_and(|of| touched.iter().any(|&t| t == of || self.tfo.contains(t)))
+        {
+            self.tfo_of = None;
         }
     }
 }
@@ -358,9 +381,15 @@ mod tests {
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "fanouts of {id}");
-            let got_tfo: HashSet<NodeId> = side.tfo(net, id).clone();
-            let want_tfo: HashSet<NodeId> = net.tfo(id).into_iter().collect();
-            assert_eq!(got_tfo, want_tfo, "tfo of {id}");
+            let want_tfo = net.tfo(id);
+            let got_tfo = side.tfo(net, id);
+            for x in net.node_ids() {
+                assert_eq!(
+                    got_tfo.contains(x),
+                    want_tfo.contains(&x),
+                    "tfo of {id} at {x}"
+                );
+            }
         }
         // Level invariant: strictly increasing along every edge.
         for id in net.node_ids() {
@@ -409,7 +438,8 @@ mod tests {
             .expect("replace");
         side.apply_replace(&net, h, &old);
         // g no longer reaches anything.
-        assert!(side.tfo(&net, g).is_empty());
+        let slot = side.tfo(&net, g);
+        assert!(net.node_ids().all(|x| !slot.contains(x)));
         assert_matches_fresh(&mut side, &net);
     }
 
@@ -424,18 +454,18 @@ mod tests {
             .add_node("m", vec![a, b], parse_sop(2, "a + b").expect("p"))
             .expect("m");
         side.sync_new_nodes(&net);
-        assert_eq!(side.prepared(), Some(h), "untouched slot survives");
+        assert_eq!(side.tfo_of, Some(h), "untouched slot survives");
         assert!(!side.in_tfo(&net, m, h));
         // a reaches the new node's fanin: preparing it sees m.
-        assert!(side.tfo(&net, a).contains(&m));
+        assert!(side.tfo(&net, a).contains(m));
         // A node hanging off h itself drops h's slot.
         side.tfo(&net, h);
         let n = net
             .add_node("n", vec![h, c], parse_sop(2, "ab").expect("p"))
             .expect("n");
         side.sync_new_nodes(&net);
-        assert_eq!(side.prepared(), None, "touched slot is dropped");
-        assert!(side.tfo(&net, h).contains(&n));
+        assert_eq!(side.tfo_of, None, "touched slot is dropped");
+        assert!(side.tfo(&net, h).contains(n));
         assert_matches_fresh(&mut side, &net);
     }
 
@@ -450,7 +480,7 @@ mod tests {
         net.replace_function(g, vec![a, b], parse_sop(2, "a + b").expect("p"))
             .expect("replace");
         side.apply_replace(&net, g, &old);
-        assert_eq!(side.prepared(), Some(k), "untouched slot survives");
+        assert_eq!(side.tfo_of, Some(k), "untouched slot survives");
         assert!(!side.in_tfo(&net, h, k));
         // h's TFO {k} contains the rewired node: the slot is dropped.
         side.tfo(&net, h);
@@ -458,7 +488,7 @@ mod tests {
         net.replace_function(k, vec![h, c], parse_sop(2, "ab").expect("p"))
             .expect("replace");
         side.apply_replace(&net, k, &old);
-        assert_eq!(side.prepared(), None, "touched slot is dropped");
+        assert_eq!(side.tfo_of, None, "touched slot is dropped");
         assert_matches_fresh(&mut side, &net);
     }
 

@@ -29,8 +29,8 @@ pub struct ServeConfig {
     /// Deadline applied to jobs that do not send `X-Deadline-Ms`.
     /// `None` leaves them unbounded.
     pub default_deadline_ms: Option<u64>,
-    /// Worker threads *inside* each job's sweep (usually 1: the pool
-    /// parallelism is across jobs, not within them).
+    /// Threads inside each job's sweep. Accepted; the sweep is
+    /// sequential, so the pool's parallelism is across jobs only.
     pub threads_per_job: usize,
     /// HTTP parse bounds.
     pub http: HttpLimits,

@@ -9,9 +9,9 @@ use boolsubst_network::{EvalScratch, Network, NodeId, SideTables};
 use std::collections::HashMap;
 
 /// Instruments resolved once at [`SimFilter::attach_metrics`] time.
-/// Counters are atomic, so the read-only screening surface (shared
-/// with sweep workers through `SimView`) can book screens through
-/// `&self`. Observation only — screen verdicts are unaffected.
+/// Counters are atomic, so the read-only screening surface can book
+/// screens through `&self`. Observation only — screen verdicts are
+/// unaffected.
 #[derive(Debug, Clone)]
 struct SimMetrics {
     screens: Counter,
@@ -345,8 +345,8 @@ impl SimFilter {
     }
 }
 
-/// A frozen, read-only screening view over a [`SimFilter`], shareable
-/// across the parallel sweep's worker threads.
+/// A frozen, read-only screening view over a [`SimFilter`], used by the
+/// best-gain dry runs.
 ///
 /// The view exposes exactly the filter surface whose answers are pure
 /// functions of the shared state — the signature table over the shared
@@ -358,14 +358,6 @@ impl SimFilter {
 pub struct SimView<'a> {
     filter: &'a SimFilter,
 }
-
-// Worker threads share one view per epoch; the underlying filter must
-// stay free of interior mutability for that to be sound. Compile-time pin:
-const _: fn() = || {
-    fn sync_only<T: Sync>() {}
-    sync_only::<SimFilter>();
-    sync_only::<SimView<'_>>();
-};
 
 impl<'a> SimView<'a> {
     /// Freezes `filter` for shared read-only screening.

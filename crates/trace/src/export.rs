@@ -35,7 +35,6 @@ pub fn event_to_json(ev: &TraceEvent) -> String {
             .str("outcome", p.outcome.name())
             .i64("gain", p.gain)
             .u64("rar_checks", p.rar_checks)
-            .u64("worker", u64::from(p.worker))
             .finish(),
         TraceEvent::ShadowBuild {
             pass,
@@ -143,19 +142,6 @@ const TID_PAIRS: u64 = 0;
 const TID_PASSES: u64 = 1;
 /// Thread ids used in the Chrome export: shadow builds and refinements.
 const TID_AUX: u64 = 2;
-/// Speculative-sweep worker lanes start here: a pair span replayed from
-/// worker `w` (span `worker == w + 1`) lands on tid `TID_AUX + w + 1`,
-/// labelled `worker w` by a `thread_name` metadata row.
-const TID_WORKER_BASE: u64 = TID_AUX;
-
-fn pair_tid(worker: u32) -> u64 {
-    if worker == 0 {
-        TID_PAIRS
-    } else {
-        TID_WORKER_BASE + u64::from(worker)
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn chrome_complete(
     out: &mut Vec<String>,
@@ -209,26 +195,6 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
         chrome_metadata(&mut rows, "thread_name", pid, TID_PAIRS, "pairs");
         chrome_metadata(&mut rows, "thread_name", pid, TID_PASSES, "passes");
         chrome_metadata(&mut rows, "thread_name", pid, TID_AUX, "engine aux");
-        // Label every speculative-worker lane that actually carries
-        // spans, so the viewer shows "worker 3" instead of a raw tid.
-        let mut worker_lanes: Vec<u32> = t
-            .events()
-            .filter_map(|ev| match ev {
-                TraceEvent::Pair(p) if p.worker > 0 => Some(p.worker),
-                _ => None,
-            })
-            .collect();
-        worker_lanes.sort_unstable();
-        worker_lanes.dedup();
-        for &lane in &worker_lanes {
-            chrome_metadata(
-                &mut rows,
-                "thread_name",
-                pid,
-                pair_tid(lane),
-                &format!("worker {}", lane - 1),
-            );
-        }
 
         for ev in t.events() {
             match ev {
@@ -266,7 +232,7 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                         p.outcome.name(),
                         "pair",
                         pid,
-                        pair_tid(p.worker),
+                        TID_PAIRS,
                         p.start_ns,
                         p.dur_ns,
                         args,
@@ -461,65 +427,6 @@ mod tests {
         let args = pair.get("args").expect("args");
         assert_eq!(args.get("target").and_then(Json::as_str), Some("n1"));
         assert_eq!(args.get("divisor").and_then(Json::as_str), Some("n2"));
-    }
-
-    #[test]
-    fn worker_spans_get_labelled_lanes() {
-        let mut t = Tracer::new("ext-gdc");
-        t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
-        t.begin_pass(1);
-        // A live pair and two replayed worker records (workers 0 and 2).
-        t.begin_pair(1, 2);
-        t.end_pair(0);
-        for worker in [0, 2] {
-            t.record_pair(&crate::tracer::PairRecord {
-                target: 1,
-                divisor: 2,
-                dur_ns: 10,
-                stages: Default::default(),
-                outcome: Outcome::RejectedStructural,
-                gain: 0,
-                rar_checks: 0,
-                worker,
-            });
-        }
-        t.end_pass(0, 0);
-
-        let text = jsonl_string(&t);
-        let workers: Vec<u64> = text
-            .lines()
-            .filter_map(|l| Json::parse(l).ok())
-            .filter(|j| j.get("type").and_then(Json::as_str) == Some("pair"))
-            .filter_map(|j| j.get("worker").and_then(Json::as_u64))
-            .collect();
-        assert_eq!(workers, vec![0, 1, 3], "live = 0, worker w = w + 1");
-
-        let v = Json::parse(&chrome_trace_string(&[&t])).expect("parses");
-        let rows = v.as_array().expect("array");
-        let lane_label = |label: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.get("name").and_then(Json::as_str) == Some("thread_name")
-                        && r.get("args")
-                            .and_then(|a| a.get("name"))
-                            .and_then(Json::as_str)
-                            == Some(label)
-                })
-                .and_then(|r| r.get("tid").and_then(Json::as_u64))
-        };
-        let w0 = lane_label("worker 0").expect("worker 0 lane labelled");
-        let w2 = lane_label("worker 2").expect("worker 2 lane labelled");
-        assert!(
-            lane_label("worker 1").is_none(),
-            "unused lanes stay unlabelled"
-        );
-        // Replayed spans sit on their labelled lanes; the live one on "pairs".
-        let pair_tids: Vec<u64> = rows
-            .iter()
-            .filter(|r| r.get("cat").and_then(Json::as_str) == Some("pair"))
-            .filter_map(|r| r.get("tid").and_then(Json::as_u64))
-            .collect();
-        assert_eq!(pair_tids, vec![TID_PAIRS, w0, w2]);
     }
 
     #[test]

@@ -40,4 +40,4 @@ pub mod tracer;
 pub use hist::{bucket_ceil, bucket_floor, bucket_index, LatencyHistogram, BUCKETS};
 pub use report::TraceReport;
 pub use span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, StageNanos, TraceEvent};
-pub use tracer::{PairRecord, TargetAgg, Tracer, TracerConfig};
+pub use tracer::{TargetAgg, Tracer, TracerConfig};

@@ -227,11 +227,6 @@ pub struct PairSpan {
     pub gain: i64,
     /// RAR/ATPG fault checks the GDC-mode division ran for this pair.
     pub rar_checks: u64,
-    /// Sweep lane the attempt ran on: `0` for live (sequential or
-    /// committer) attempts, `w + 1` for a span replayed from
-    /// speculative worker `w`. Chrome export maps lanes to named
-    /// threads.
-    pub worker: u32,
 }
 
 /// One sweep pass over all targets.

@@ -6,37 +6,7 @@ use std::time::Instant;
 
 use crate::hist::LatencyHistogram;
 use crate::report::TraceReport;
-use crate::span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, StageNanos, TraceEvent};
-
-/// One pair attempt measured off-thread by a parallel-sweep worker.
-///
-/// Workers cannot share the single [`Tracer`] (it is deliberately
-/// `&mut`-threaded), so they buffer these per-worker and the committer
-/// replays the records of *committed* pairs — in commit order — via
-/// [`Tracer::record_pair`]. The replayed span lands in every aggregate
-/// exactly like a live one; only `start_ns` is synthesised (commit time
-/// minus the measured duration), since the worker clock is not the
-/// tracer's epoch clock.
-#[derive(Debug, Clone, Copy)]
-pub struct PairRecord {
-    /// Target node id (compact u32 form).
-    pub target: u32,
-    /// Divisor node id (compact u32 form).
-    pub divisor: u32,
-    /// Wall-clock duration of the attempt as measured on the worker.
-    pub dur_ns: u64,
-    /// Per-stage attribution measured on the worker.
-    pub stages: StageNanos,
-    /// The decided outcome.
-    pub outcome: Outcome,
-    /// Realised factored-literal gain (0 for rejects).
-    pub gain: i64,
-    /// RAR/ATPG fault checks run by this attempt.
-    pub rar_checks: u64,
-    /// Index of the sweep worker that measured the attempt (0 = the
-    /// committer's inline drain).
-    pub worker: u32,
-}
+use crate::span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, TraceEvent};
 
 /// Bounds on what a [`Tracer`] retains.
 #[derive(Debug, Clone, Copy)]
@@ -238,7 +208,6 @@ impl Tracer {
             outcome: Outcome::RejectedNoGain,
             gain: 0,
             rar_checks: 0,
-            worker: 0,
         });
         self.noted = None;
     }
@@ -287,33 +256,6 @@ impl Tracer {
         span.dur_ns = self.now_ns().saturating_sub(span.start_ns);
         span.outcome = outcome;
         span.gain = gain;
-        self.aggregate_pair(span);
-    }
-
-    /// Replays one worker-measured [`PairRecord`] into this tracer, as if
-    /// the pair had been traced live: per-stage histograms, outcome
-    /// funnel, per-target heat, top-K, and the event ring all see it.
-    /// Call in commit order so exported spans read like the equivalent
-    /// sequential run.
-    pub fn record_pair(&mut self, rec: &PairRecord) {
-        for stage in Stage::ALL {
-            let ns = rec.stages.get(stage);
-            if ns > 0 {
-                self.stage_hist[stage.idx()].record(ns);
-            }
-        }
-        let span = PairSpan {
-            pass: self.cur_pass,
-            target: rec.target,
-            divisor: rec.divisor,
-            start_ns: self.now_ns().saturating_sub(rec.dur_ns),
-            dur_ns: rec.dur_ns,
-            stages: rec.stages,
-            outcome: rec.outcome,
-            gain: rec.gain,
-            rar_checks: rec.rar_checks,
-            worker: rec.worker + 1,
-        };
         self.aggregate_pair(span);
     }
 

@@ -40,7 +40,7 @@ USAGE:
   boolsubst optimize <in> [--mode resub|basic|ext|ext-gdc]
                      [--script none|a|b|c] [--dc] [-o <out>] [--no-verify]
                      [--trace <out.jsonl>] [--chrome-trace <out.json>]
-                     [--checked] [--deadline <secs>] [--threads <n>]
+                     [--checked] [--deadline <secs>]
                      [--discovery overlap|signature|auto]
                      [--guard-tier sim|bdd|sat|auto] [--sat-conflicts <n>]
                      [--metrics <out.prom|out.json>] [--heartbeat <secs>]
@@ -129,7 +129,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let mut chrome_path: Option<&str> = None;
     let mut checked = false;
     let mut deadline_secs: Option<f64> = None;
-    let mut threads = 1usize;
     let mut discovery: Option<Discovery> = None;
     let mut guard_tier: Option<TierPolicy> = None;
     let mut sat_conflicts: Option<u64> = None;
@@ -160,16 +159,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                     return Err("bad --deadline value".into());
                 }
                 deadline_secs = Some(secs);
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --threads value")?;
-                if threads == 0 {
-                    return Err("bad --threads value (must be >= 1)".into());
-                }
             }
             "--discovery" => {
                 let name = it.next().ok_or("--discovery needs a value")?;
@@ -231,7 +220,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
             }
             if checked
                 || deadline_secs.is_some()
-                || threads > 1
                 || discovery.is_some()
                 || guard_tier.is_some()
                 || sat_conflicts.is_some()
@@ -239,7 +227,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 || heartbeat_secs.is_some()
             {
                 return Err(
-                    "--checked/--deadline/--threads/--discovery/--guard-tier/--sat-conflicts/--metrics/--heartbeat need a substitution mode (basic|ext|ext-gdc)"
+                    "--checked/--deadline/--discovery/--guard-tier/--sat-conflicts/--metrics/--heartbeat need a substitution mode (basic|ext|ext-gdc)"
                         .into(),
                 );
             }
@@ -256,7 +244,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         }
     };
     if let Some(opts) = subst_opts {
-        let mut opts = opts.with_checked(checked).with_threads(threads);
+        let mut opts = opts.with_checked(checked);
         if let Some(d) = discovery {
             opts = opts.with_discovery(d);
         }

@@ -108,6 +108,43 @@ fn panics_at_pair_entry_are_isolated() {
     );
 }
 
+/// A panic inside a best-gain dry run must be caught at the pair, booked
+/// as an engine fault and quarantined — and must never reach the live
+/// sweep. The sweep finishes and the network still computes the same
+/// functions.
+#[test]
+fn best_gain_dry_run_panic_quarantines_the_pair() {
+    use boolsubst::core::Acceptance;
+
+    let mut any_faults = 0usize;
+    for seed in SEEDS {
+        let base = random_network(seed, &GeneratorParams::default());
+        let mut net = base.clone();
+        configure(ChaosConfig {
+            panic_entry_rate: 2,
+            seed,
+            ..ChaosConfig::default()
+        });
+        // Returning at all proves no dry-run panic escaped the visit.
+        let opts = SubstOptions::extended()
+            .with_checked(true)
+            .with_acceptance(Acceptance::BestGain);
+        let stats = Session::new(&mut net, opts).run();
+        let _ = disarm();
+        net.check_invariants();
+        assert!(
+            networks_equivalent(&base, &net),
+            "seed {seed}: dry-run faults corrupted the network"
+        );
+        assert_eq!(
+            stats.engine_faults, stats.quarantined,
+            "seed {seed}: every fault must quarantine its pair"
+        );
+        any_faults += stats.engine_faults;
+    }
+    assert!(any_faults > 0, "rate-2 entry panics never fired");
+}
+
 #[test]
 fn panics_after_apply_are_isolated_and_rolled_back() {
     // Post-apply panics strike after the rewrite landed, so the rollback

@@ -5,7 +5,7 @@
 //! table is only read here; regenerate it with the `golden_bless`
 //! binary and review the diff.
 
-use boolsubst_bench::golden::{all_cases, cases, parse, run, Group, PARALLEL_THREADS};
+use boolsubst_bench::golden::{all_cases, cases, parse, run, Group};
 use std::collections::BTreeMap;
 
 const TABLE: &str = include_str!("golden_quality.txt");
@@ -14,8 +14,7 @@ fn table() -> BTreeMap<String, String> {
     parse(TABLE).unwrap_or_else(|e| panic!("golden table: {e}"))
 }
 
-/// Runs every case of `group` (and the parallel re-checks it carries)
-/// and reports all differing rows at once.
+/// Runs every case of `group` and reports all differing rows at once.
 fn check(group: Group) {
     let table = table();
     let mut diffs = Vec::new();
@@ -23,18 +22,9 @@ fn check(group: Group) {
         let want = table
             .get(&case.id)
             .map_or("<missing: run golden_bless>", String::as_str);
-        let mut widths = vec![1];
-        if case.parallel_checked() {
-            widths.push(PARALLEL_THREADS);
-        }
-        for threads in widths {
-            let got = run(&case, threads);
-            if got != want {
-                diffs.push(format!(
-                    "{} at {threads} thread(s):\n  want {want}\n  got  {got}",
-                    case.id
-                ));
-            }
+        let got = run(&case);
+        if got != want {
+            diffs.push(format!("{}:\n  want {want}\n  got  {got}", case.id));
         }
     }
     assert!(

@@ -13,11 +13,6 @@ use std::collections::HashMap;
 
 /// One traced run per mode on the same generated network.
 fn traced_runs() -> Vec<(Tracer, SubstStats)> {
-    traced_runs_at(1)
-}
-
-/// [`traced_runs`] at `threads` sweep workers.
-fn traced_runs_at(threads: usize) -> Vec<(Tracer, SubstStats)> {
     let base = random_network(11, &GeneratorParams::default());
     ["basic", "ext", "ext-gdc"]
         .into_iter()
@@ -25,9 +20,7 @@ fn traced_runs_at(threads: usize) -> Vec<(Tracer, SubstStats)> {
         .map(|(name, opts)| {
             let mut net = base.clone();
             let mut tracer = Tracer::new(name);
-            let stats = Session::new(&mut net, opts.with_threads(threads))
-                .tracer(&mut tracer)
-                .run();
+            let stats = Session::new(&mut net, opts).tracer(&mut tracer).run();
             (tracer, stats)
         })
         .collect()
@@ -278,25 +271,23 @@ fn funnel_reconciles_with_stats_counters() {
 
 /// Stats, trace and metrics share one stage clock: every nanosecond the
 /// engine books to a `SubstStats` stage lands on the tracer's matching
-/// stage histogram — sequentially and through the speculative sweep.
+/// stage histogram.
 #[test]
-fn stage_totals_match_stats_at_one_and_two_threads() {
-    for threads in [1, 2] {
-        for (tracer, stats) in traced_runs_at(threads) {
-            for (stage, booked) in [
-                (Stage::Enumerate, stats.enumerate_nanos),
-                (Stage::Filter, stats.filter_nanos),
-                (Stage::Sim, stats.sim_nanos),
-                (Stage::Divide, stats.divide_nanos),
-                (Stage::Apply, stats.apply_nanos),
-            ] {
-                assert_eq!(
-                    tracer.stage_histogram(stage).sum_ns(),
-                    booked,
-                    "{} t{threads}: {stage:?} stage total",
-                    tracer.mode()
-                );
-            }
+fn stage_totals_match_stats() {
+    for (tracer, stats) in traced_runs() {
+        for (stage, booked) in [
+            (Stage::Enumerate, stats.enumerate_nanos),
+            (Stage::Filter, stats.filter_nanos),
+            (Stage::Sim, stats.sim_nanos),
+            (Stage::Divide, stats.divide_nanos),
+            (Stage::Apply, stats.apply_nanos),
+        ] {
+            assert_eq!(
+                tracer.stage_histogram(stage).sum_ns(),
+                booked,
+                "{}: {stage:?} stage total",
+                tracer.mode()
+            );
         }
     }
 }
