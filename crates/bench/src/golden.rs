@@ -11,7 +11,7 @@
 //! golden_bless` and review the diff like code.
 
 use boolsubst_algebraic::network_factored_literals;
-use boolsubst_core::{all_configs, Acceptance, Discovery, Session, SubstOptions};
+use boolsubst_core::{all_configs, Acceptance, Discovery, Session, SubstOptions, SubstStats};
 use boolsubst_cube::parse_sop;
 use boolsubst_network::{write_blif, Network};
 use boolsubst_workloads::full_suite;
@@ -94,6 +94,12 @@ pub struct Case {
 }
 
 impl Case {
+    /// The engine options the case runs under.
+    #[must_use]
+    pub fn options(&self) -> &SubstOptions {
+        &self.opts
+    }
+
     fn new(circuit: Circuit, name: &str, config: &str, opts: SubstOptions) -> Case {
         Case {
             id: format!("{name}/{config}/{}", opts.discovery.name()),
@@ -197,9 +203,16 @@ pub fn all_cases() -> Vec<Case> {
 /// does.
 #[must_use]
 pub fn run(case: &Case) -> String {
+    run_with(case, case.opts.clone()).0
+}
+
+/// Runs `case`'s circuit under `opts` instead of the case's own options
+/// and renders the row as [`run`] does, alongside the run's stats.
+#[must_use]
+pub fn run_with(case: &Case, opts: SubstOptions) -> (String, SubstStats) {
     let mut net = case.circuit.build();
-    let s = Session::new(&mut net, case.opts.clone()).run();
-    format!(
+    let s = Session::new(&mut net, opts).run();
+    let row = format!(
         "subs={} pos={} ext={} gain={} tried={} passes={} lits={} blif={:016x}",
         s.substitutions,
         s.pos_substitutions,
@@ -209,7 +222,8 @@ pub fn run(case: &Case) -> String {
         s.passes,
         network_factored_literals(&net),
         fnv1a(write_blif(&net).as_bytes()),
-    )
+    );
+    (row, s)
 }
 
 /// FNV-1a, 64-bit.

@@ -43,7 +43,7 @@ use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimFilter;
 use boolsubst_trace::{GuardTier, Outcome, Stage, Tracer};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -56,18 +56,15 @@ pub(crate) fn id32(id: NodeId) -> u32 {
     u32::try_from(id.index()).unwrap_or(u32::MAX)
 }
 
-/// Cone-restricted guard compare for local-function-preserving rewrites:
-/// runs the guard on the single-output TFI cone of every node the rewrite
+/// Window guard compare for local-function-preserving rewrites: runs
+/// [`Guard::check_window`] on the local window of every node the rewrite
 /// changed (`target` always; `divisor` too when an extended rewrite
-/// re-expressed it). The pre-rewrite cone is built straight from the
-/// mutated network with the snapshot's captured images as an overlay, so
-/// the whole-network clone the fallback path needs is never made here.
-/// Returns the combined decision when every cone passes — the least
-/// exact of the individual verdicts, so a sampled cone pass is never
-/// reported as a proof — or `None` when any cone was refuted, ran out of
-/// time, or could not be extracted; the caller falls back to the
+/// re-expressed it). Returns the combined decision when every window
+/// passes — the least exact of the individual verdicts, so a sampled
+/// pass is never reported as a proof — or `None` when any window did
+/// not pass or could not be built; the caller then falls back to the
 /// whole-network compare.
-fn cone_checked(
+fn window_checked(
     guard: &mut Guard,
     snap: &TxnSnapshot,
     post: &Network,
@@ -84,22 +81,8 @@ fn cone_checked(
         if !changed {
             continue; // plain substitution: the divisor is untouched
         }
-        // Union primary-input support of the pre and post cones, in the
-        // shared input order, so the two cones compare positionally.
-        let mut support = vec![false; post.id_bound()];
-        for n in post.tfi(root) {
-            support[n.index()] = true;
-        }
-        pre_support(post, snap, root, &mut support);
-        let inputs: Vec<NodeId> = post
-            .inputs()
-            .iter()
-            .copied()
-            .filter(|i| support[i.index()])
-            .collect();
-        let pre = pre_cone(post, snap, root, &inputs)?;
-        let post_cone = post.extract_cone(root, &inputs).ok()?;
-        let d = guard.check(&pre, &post_cone);
+        let (pre_w, post_w) = local_window(snap, post, root, divisor)?;
+        let d = guard.check_window(&pre_w, &post_w);
         if !d.passed() {
             return None;
         }
@@ -111,78 +94,99 @@ fn cone_checked(
     decision
 }
 
-/// Resolves a node's pre-rewrite definition: the snapshot's captured
-/// image when the attempt touched it, the live definition otherwise.
-fn pre_def<'a>(
-    net: &'a Network,
-    snap: &'a TxnSnapshot,
-    id: NodeId,
-) -> (&'a [NodeId], Option<&'a Cover>) {
-    match snap.image_of(id) {
-        Some((fanins, cover)) => (fanins, Some(cover)),
-        None => {
-            let node = net.node(id);
-            (node.fanins(), node.cover())
-        }
-    }
+/// The local window of `root` as a (pre, post) pair of single-output
+/// networks over the same ordered leaves.
+///
+/// The window nodes are `root`, `divisor` and every node the attempt
+/// minted (`id ≥` [`TxnSnapshot::id_bound`]). The pre side expands them
+/// through their snapshot images (minted nodes do not exist there), the
+/// post side through their live definitions. Every other node either
+/// side reaches is a *leaf*: an unchanged node, shared by both sides as
+/// a free input, in id order. `None` when a definition or leaf cannot be
+/// resolved (the caller falls back to the whole-network compare).
+fn local_window(
+    snap: &TxnSnapshot,
+    post: &Network,
+    root: NodeId,
+    divisor: NodeId,
+) -> Option<(Network, Network)> {
+    let inside = |n: NodeId| n == root || n == divisor || n.index() >= snap.id_bound();
+    let pre_def = |n: NodeId| if inside(n) { snap.image_of(n) } else { None };
+    let post_def = |n: NodeId| {
+        let node = post.node_opt(n).filter(|_| inside(n))?;
+        Some((node.fanins(), node.cover()?))
+    };
+    let mut leaves = Vec::new();
+    let pre_order = expand(root, &pre_def, &mut leaves);
+    let post_order = expand(root, &post_def, &mut leaves);
+    leaves.sort_unstable();
+    leaves.dedup();
+    let pre = side_network(post, "pre-window", &leaves, &pre_order, &pre_def)?;
+    let post_w = side_network(post, "post-window", &leaves, &post_order, &post_def)?;
+    Some((pre, post_w))
 }
 
-/// Marks the primary inputs of `root`'s pre-rewrite cone in `support`
-/// (overlay walk over the mutated network).
-fn pre_support(net: &Network, snap: &TxnSnapshot, root: NodeId, support: &mut [bool]) {
-    let mut seen = vec![false; net.id_bound()];
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        if seen[n.index()] {
-            continue;
-        }
-        seen[n.index()] = true;
-        let (fanins, cover) = pre_def(net, snap, n);
-        if cover.is_none() {
-            support[n.index()] = true;
-            continue;
-        }
-        stack.extend(fanins.iter().copied());
-    }
-}
+/// A node definition: fanins and cover.
+type Def<'a> = Option<(&'a [NodeId], &'a Cover)>;
 
-/// Builds the pre-rewrite TFI cone of `root` directly from the mutated
-/// network plus the snapshot overlay — no whole-network clone. Mirrors
-/// [`Network::extract_cone`] with definitions resolved through
-/// [`pre_def`]. `None` when the walk reaches a primary input missing
-/// from `inputs` or cone construction fails.
-fn pre_cone(net: &Network, snap: &TxnSnapshot, root: NodeId, inputs: &[NodeId]) -> Option<Network> {
-    let mut cone = Network::new(format!("{}:pre-cone", net.name()));
-    let mut map: Vec<Option<NodeId>> = vec![None; net.id_bound()];
-    for &pi in inputs {
-        map[pi.index()] = Some(cone.add_input(net.node(pi).name()).ok()?);
-    }
-    let mut open = vec![false; net.id_bound()];
+/// Walks `root`'s definitions under `def` (`None` marks a leaf): returns
+/// the expanded nodes children first and appends the reached leaves to
+/// `leaves`. Windows are a handful of nodes, so membership is a scan.
+fn expand<'a>(
+    root: NodeId,
+    def: &impl Fn(NodeId) -> Def<'a>,
+    leaves: &mut Vec<NodeId>,
+) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = Vec::new();
     let mut stack = vec![(root, false)];
     while let Some((n, emit)) = stack.pop() {
-        let (fanins, cover) = pre_def(net, snap, n);
         if emit {
-            let mut mapped = Vec::with_capacity(fanins.len());
-            for &f in fanins {
-                mapped.push(map[f.index()]?);
+            order.push(n);
+            continue;
+        }
+        if order.contains(&n) || stack.contains(&(n, true)) {
+            continue;
+        }
+        match def(n) {
+            Some((fanins, _)) => {
+                stack.push((n, true));
+                stack.extend(fanins.iter().map(|&f| (f, false)));
             }
-            let cover = cover.expect("internal").clone();
-            map[n.index()] = Some(cone.add_node(net.node(n).name(), mapped, cover).ok()?);
-            continue;
-        }
-        if open[n.index()] || map[n.index()].is_some() {
-            continue;
-        }
-        cover?; // a primary input the caller did not list
-        open[n.index()] = true;
-        stack.push((n, true));
-        for &f in fanins {
-            stack.push((f, false));
+            None => leaves.push(n),
         }
     }
-    let out = map[root.index()]?;
-    cone.add_output(net.node(root).name(), out).ok()?;
-    Some(cone)
+    order
+}
+
+/// Builds one side of a window: `leaves` become the primary inputs, the
+/// expanded nodes are added in `order` under `def`, and the last of them
+/// (the root) is the only output. Node names carry over from `net`.
+fn side_network<'a>(
+    net: &Network,
+    label: &str,
+    leaves: &[NodeId],
+    order: &[NodeId],
+    def: &impl Fn(NodeId) -> Def<'a>,
+) -> Option<Network> {
+    let mut side = Network::new(format!("{}:{label}", net.name()));
+    let mut map: HashMap<NodeId, NodeId> = HashMap::with_capacity(leaves.len() + order.len());
+    for &leaf in leaves {
+        map.insert(leaf, side.add_input(net.node_opt(leaf)?.name()).ok()?);
+    }
+    for &n in order {
+        let (fanins, cover) = def(n)?;
+        let mapped = fanins
+            .iter()
+            .map(|f| map.get(f).copied())
+            .collect::<Option<Vec<_>>>()?;
+        let id = side
+            .add_node(net.node(n).name(), mapped, cover.clone())
+            .ok()?;
+        map.insert(n, id);
+    }
+    let &root = order.last()?;
+    side.add_output(net.node(root).name(), map[&root]).ok()?;
+    Some(side)
 }
 
 /// Display names for every live node, indexed by raw slot id.
@@ -481,24 +485,29 @@ impl<'a> SubstEngine<'a> {
         self.stats.literal_gain = stats0.literal_gain;
     }
 
-    /// Reconstructs the pre-rewrite network (rollback applied to a clone
-    /// of the post state) and asks the guard whether the rewrite
-    /// preserved every primary-output function. Records the verdict (and
-    /// which tier produced it) in the stats block and on the tracer.
-    /// `None` means no guard is installed (unchecked run): the rewrite
-    /// stands on the division proof alone.
+    /// Asks the guard whether the rewrite journaled by `snap` preserved
+    /// every primary-output function. Records the verdict (and which tier
+    /// produced it) in the stats block and on the tracer. `None` means
+    /// no guard is installed (unchecked run): the rewrite stands on the
+    /// division proof alone.
     ///
     /// Outside GDC mode every division strategy is pure cover algebra
-    /// over the joint space, so an accepted rewrite preserves each
-    /// changed node's function over the primary inputs *exactly* —
-    /// comparing just the changed nodes' single-output TFI cones is both
-    /// sound (identical cones imply identical outputs, everything else
-    /// being untouched) and complete. The guard therefore runs on the
-    /// cone pair first; only a cone that fails to pass falls back to the
-    /// whole-network compare, which preserves the original verdict
-    /// semantics (circuit-level observability may still save a rewrite a
-    /// cone compare refutes). GDC rewrites exploit observability across
-    /// the whole circuit by design, so they always take the full compare.
+    /// over the joint space of target and divisor, so the guard first
+    /// checks each changed node's *local window* (see `local_window`):
+    /// its snapshot image against its live definition, both expanded
+    /// through the window nodes (target, divisor, minted nodes) down to
+    /// the unchanged leaves, which stay free variables. Agreement there
+    /// is sound: by induction over the post network's topological order,
+    /// every leaf keeps its global function, so every changed node does
+    /// too, and so does every node past them. It is also complete for a
+    /// healthy engine, since the window *is* the joint space the division
+    /// reasoned over. A window that does not pass falls back to the
+    /// whole-network compare (pre-state rebuilt by rolling a clone of the
+    /// post state back) and is counted in `stats.guard_fallbacks`:
+    /// circuit-level observability may still save a rewrite the window
+    /// refutes, so verdicts are exactly those of the whole-network
+    /// compare. GDC rewrites exploit observability across the whole
+    /// circuit by design, so they always take the full compare.
     fn guard_verdict(
         &mut self,
         snap: &TxnSnapshot,
@@ -508,13 +517,19 @@ impl<'a> SubstEngine<'a> {
         let guard = self.guard.as_mut()?;
         let t0 = Instant::now();
         let sat_runs0 = guard.sat_runs();
-        let cone_pass = (self.opts.mode != SubstMode::ExtendedGdc)
-            .then(|| cone_checked(guard, snap, self.net, target, divisor))
-            .flatten();
-        let decision = match cone_pass {
+        let gdc = self.opts.mode == SubstMode::ExtendedGdc;
+        let window_pass = if gdc {
+            None
+        } else {
+            window_checked(guard, snap, self.net, target, divisor)
+        };
+        let decision = match window_pass {
             Some(d) => d,
             None => {
-                // Whole-network fallback: reconstruct the pre-state
+                if !gdc {
+                    self.stats.guard_fallbacks += 1;
+                }
+                // Whole-network compare: reconstruct the pre-state
                 // (rollback applied to a clone of the post state).
                 let mut pre = self.net.clone();
                 if snap.rollback(&mut pre).is_err() {
@@ -969,6 +984,180 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("divisions tried"));
         assert!(text.contains("literal gain"));
+    }
+
+    /// Runs the checked engine's guard on a hand-made rewrite of
+    /// (`target`, `divisor`): snapshot, `rewrite`, verdict. Returns the
+    /// verdict, the number of guard checks it took and the stats block.
+    fn guarded(
+        net: &mut Network,
+        target: NodeId,
+        divisor: NodeId,
+        rewrite: impl FnOnce(&mut Network),
+    ) -> (GuardDecision, u64, SubstStats) {
+        let mut engine = SubstEngine::new(net, SubstOptions::basic().with_checked(true));
+        let snap = TxnSnapshot::capture(engine.net, &[target, divisor]);
+        rewrite(engine.net);
+        let decision = engine
+            .guard_verdict(&snap, target, divisor)
+            .expect("checked");
+        let checks = engine.guard.as_ref().expect("guard").checks();
+        (decision, checks, engine.stats)
+    }
+
+    /// The input names of a window side, i.e. its leaves in order.
+    fn leaf_names(side: &Network) -> Vec<&str> {
+        side.inputs().iter().map(|&i| side.node(i).name()).collect()
+    }
+
+    /// f = ab + ac, d = b + c: the paper's running example.
+    fn paper_net() -> (Network, [NodeId; 3], NodeId, NodeId) {
+        let mut net = Network::new("window_t");
+        let [a, b, c] = ["a", "b", "c"].map(|n| net.add_input(n).expect("input"));
+        let f = net
+            .add_node("f", vec![a, b, c], parse_sop(3, "ab + ac").expect("p"))
+            .expect("f");
+        let d = net
+            .add_node("d", vec![b, c], parse_sop(2, "a + b").expect("p"))
+            .expect("d");
+        net.add_output("f", f).expect("o");
+        net.add_output("d", d).expect("o");
+        (net, [a, b, c], f, d)
+    }
+
+    #[test]
+    fn plain_substitution_window_is_the_joint_space() {
+        let (mut net, [a, ..], f, d) = paper_net();
+        let snap = TxnSnapshot::capture(&net, &[f, d]);
+        // f := a·d.
+        net.replace_function(f, vec![a, d], parse_sop(2, "ab").expect("q"))
+            .expect("rewrite");
+        let (pre, post) = local_window(&snap, &net, f, d).expect("window");
+        assert_eq!(leaf_names(&pre), ["a", "b", "c"], "leaves = joint space");
+        assert_eq!(leaf_names(&post), ["a", "b", "c"]);
+        assert_eq!(post.internal_ids().count(), 2, "f and the expanded d");
+
+        let (mut net, [a, ..], f, d) = paper_net();
+        let (decision, checks, stats) = guarded(&mut net, f, d, |net| {
+            net.replace_function(f, vec![a, d], parse_sop(2, "ab").expect("q"))
+                .expect("rewrite");
+        });
+        assert_eq!(decision, GuardDecision::PassExact);
+        assert_eq!(checks, 1, "the untouched divisor needs no window");
+        assert_eq!(stats.guard_fallbacks, 0);
+    }
+
+    #[test]
+    fn extended_rewrite_windows_expand_the_minted_core() {
+        // f = ab + ac, d = b + c + e; the extended rewrite mints the core
+        // k = b + c, re-expresses d = k + e and rewrites f = a·k.
+        let mut net = Network::new("ext_window_t");
+        let [a, b, c, e] = ["a", "b", "c", "e"].map(|n| net.add_input(n).expect("input"));
+        let f = net
+            .add_node("f", vec![a, b, c], parse_sop(3, "ab + ac").expect("p"))
+            .expect("f");
+        let d = net
+            .add_node("d", vec![b, c, e], parse_sop(3, "a + b + c").expect("p"))
+            .expect("d");
+        net.add_output("f", f).expect("o");
+        net.add_output("d", d).expect("o");
+        let rewrite = |net: &mut Network| {
+            let k = net
+                .add_node(
+                    net.fresh_name(),
+                    vec![b, c],
+                    parse_sop(2, "a + b").expect("k"),
+                )
+                .expect("core");
+            net.replace_function(d, vec![k, e], parse_sop(2, "a + b").expect("d2"))
+                .expect("divisor");
+            net.replace_function(f, vec![a, k], parse_sop(2, "ab").expect("f2"))
+                .expect("target");
+        };
+
+        let mut post = net.clone();
+        let snap = TxnSnapshot::capture(&post, &[f, d]);
+        rewrite(&mut post);
+        let (pre_f, post_f) = local_window(&snap, &post, f, d).expect("f window");
+        assert_eq!(leaf_names(&pre_f), ["a", "b", "c"]);
+        assert_eq!(leaf_names(&post_f), ["a", "b", "c"]);
+        assert_eq!(post_f.internal_ids().count(), 2, "f and the minted core");
+        let (pre_d, post_d) = local_window(&snap, &post, d, d).expect("d window");
+        assert_eq!(leaf_names(&pre_d), ["b", "c", "e"]);
+        assert_eq!(post_d.internal_ids().count(), 2, "d and the minted core");
+
+        let (decision, checks, stats) = guarded(&mut net, f, d, rewrite);
+        assert_eq!(decision, GuardDecision::PassExact);
+        assert_eq!(checks, 2, "one window per changed root");
+        assert_eq!(stats.guard_fallbacks, 0);
+    }
+
+    #[test]
+    fn corrupted_cover_is_refuted_by_window_and_fallback() {
+        // f := a + d instead of a·d.
+        let corrupt = |net: &mut Network, a: NodeId, f: NodeId, d: NodeId| {
+            net.replace_function(f, vec![a, d], parse_sop(2, "a + b").expect("q"))
+                .expect("rewrite");
+        };
+        let (mut net, [a, ..], f, d) = paper_net();
+        let snap = TxnSnapshot::capture(&net, &[f, d]);
+        corrupt(&mut net, a, f, d);
+        let (pre, post) = local_window(&snap, &net, f, d).expect("window");
+        let mut guard = Guard::new(SubstOptions::basic().guard);
+        assert!(!guard.check_window(&pre, &post).passed(), "window refutes");
+
+        let (mut net, [a, ..], f, d) = paper_net();
+        let (decision, checks, stats) = guarded(&mut net, f, d, |net| corrupt(net, a, f, d));
+        assert!(!decision.passed(), "fallback refutes too: {decision:?}");
+        assert_eq!(checks, 2, "window, then the whole-network compare");
+        assert_eq!(stats.guard_fallbacks, 1);
+    }
+
+    #[test]
+    fn locally_different_globally_equal_rewrite_takes_the_fallback() {
+        // x and y compute the same function, but as window leaves they
+        // are free: t := y is refuted locally and proved globally.
+        let mut net = Network::new("correlated_t");
+        let [a, b] = ["a", "b"].map(|n| net.add_input(n).expect("input"));
+        let x = net
+            .add_node("x", vec![a, b], parse_sop(2, "ab").expect("p"))
+            .expect("x");
+        let y = net
+            .add_node("y", vec![a, b], parse_sop(2, "ab").expect("p"))
+            .expect("y");
+        let t = net
+            .add_node("t", vec![x], parse_sop(1, "a").expect("p"))
+            .expect("t");
+        let d = net
+            .add_node("d", vec![a, b], parse_sop(2, "a + b").expect("p"))
+            .expect("d");
+        for (name, id) in [("x", x), ("y", y), ("t", t), ("d", d)] {
+            net.add_output(name, id).expect("output");
+        }
+        let rewrite = |net: &mut Network| {
+            net.replace_function(t, vec![y], parse_sop(1, "a").expect("q"))
+                .expect("rewrite");
+        };
+
+        let mut post = net.clone();
+        let snap = TxnSnapshot::capture(&post, &[t, d]);
+        rewrite(&mut post);
+        let (pre_w, post_w) = local_window(&snap, &post, t, d).expect("window");
+        assert_eq!(leaf_names(&pre_w), ["x", "y"]);
+        let mut guard = Guard::new(SubstOptions::basic().guard);
+        assert!(
+            !guard.check_window(&pre_w, &post_w).passed(),
+            "window must not pass"
+        );
+
+        let (decision, checks, stats) = guarded(&mut net, t, d, rewrite);
+        assert!(
+            decision.passed(),
+            "the whole-network compare accepts: {decision:?}"
+        );
+        assert_eq!(checks, 2);
+        assert_eq!(stats.guard_fallbacks, 1);
+        assert_eq!(stats.guard_rejections, 0);
     }
 
     /// A quarantined pair must not win the best-gain dry runs: `attempt`

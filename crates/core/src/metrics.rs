@@ -47,6 +47,7 @@ pub(crate) struct EngineMetrics {
     engine_faults: Gauge,
     shadow_cache_hits: Counter,
     shadow_cache_misses: Counter,
+    guard_fallbacks: Counter,
     last: SubstStats,
 }
 
@@ -80,6 +81,7 @@ impl EngineMetrics {
             engine_faults: handle.gauge("engine.faults"),
             shadow_cache_hits: handle.counter("engine.shadow_cache_hits"),
             shadow_cache_misses: handle.counter("engine.shadow_cache_misses"),
+            guard_fallbacks: handle.counter("guard.fallbacks"),
             last: SubstStats::default(),
         }
     }
@@ -125,6 +127,8 @@ impl EngineMetrics {
             .add(du(stats.shadow_cache_hits, self.last.shadow_cache_hits));
         self.shadow_cache_misses
             .add(du(stats.shadow_cache_misses, self.last.shadow_cache_misses));
+        self.guard_fallbacks
+            .add(du(stats.guard_fallbacks, self.last.guard_fallbacks));
         self.quarantined
             .set(i64::try_from(stats.quarantined).unwrap_or(i64::MAX));
         self.engine_faults

@@ -448,6 +448,11 @@ pub struct SubstStats {
     pub guard_pass_sampled: usize,
     /// Checked-mode guard checks that escalated to the tier C SAT miter.
     pub guard_sat_runs: usize,
+    /// Checked-mode rewrites whose local-window check did not pass and
+    /// fell back to the whole-network compare. A healthy engine reads 0:
+    /// outside GDC mode the window is the joint space the division
+    /// reasoned over.
+    pub guard_fallbacks: usize,
     /// Per-pair faults survived in checked mode: panics caught and rolled
     /// back, typed apply errors, and detected signature corruption.
     pub engine_faults: usize,
@@ -529,6 +534,7 @@ impl fmt::Display for SubstStats {
             + self.check_budget_exhausted
             + self.guard_pass_sampled
             + self.guard_sat_runs
+            + self.guard_fallbacks
             > 0
             || self.interrupted
         {
@@ -543,8 +549,8 @@ impl fmt::Display for SubstStats {
             )?;
             writeln!(
                 f,
-                "  guard escalation       {:>8}  sat-tier runs, {} sampled passes",
-                self.guard_sat_runs, self.guard_pass_sampled,
+                "  guard escalation       {:>8}  sat-tier runs, {} sampled passes, {} window fallbacks",
+                self.guard_sat_runs, self.guard_pass_sampled, self.guard_fallbacks,
             )?;
         }
         write!(
@@ -630,6 +636,7 @@ impl SubstStats {
             .guard_pass_sampled
             .saturating_add(other.guard_pass_sampled);
         self.guard_sat_runs = self.guard_sat_runs.saturating_add(other.guard_sat_runs);
+        self.guard_fallbacks = self.guard_fallbacks.saturating_add(other.guard_fallbacks);
         self.engine_faults = self.engine_faults.saturating_add(other.engine_faults);
         self.quarantined = self.quarantined.saturating_add(other.quarantined);
         self.check_budget_exhausted = self
@@ -681,6 +688,7 @@ impl SubstStats {
             .u64("guard_rejections", u(self.guard_rejections))
             .u64("guard_pass_sampled", u(self.guard_pass_sampled))
             .u64("guard_sat_runs", u(self.guard_sat_runs))
+            .u64("guard_fallbacks", u(self.guard_fallbacks))
             .u64("engine_faults", u(self.engine_faults))
             .u64("quarantined", u(self.quarantined))
             .u64("check_budget_exhausted", u(self.check_budget_exhausted))

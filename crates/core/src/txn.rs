@@ -7,10 +7,13 @@
 //! keeps both capture and [`TxnSnapshot::rollback`] O(changed nodes) — the
 //! rest of the network is never copied.
 //!
-//! Rollback is non-consuming: the guarded engine first rolls a snapshot
-//! back *into a clone* to reconstruct the pre-state for the guard's
-//! equivalence check, and — only if the guard refutes the move — rolls the
-//! same snapshot back on the real network.
+//! The checked engine's guard reads the snapshot in place: the captured
+//! images ([`TxnSnapshot::image_of`]) are the pre side of each changed
+//! node's local window, and [`TxnSnapshot::id_bound`] tells minted nodes
+//! apart. Rollback is non-consuming: when a window does not pass, the
+//! engine rolls the snapshot back *into a clone* to reconstruct the whole
+//! pre-state for the fallback compare, and — only if the guard refutes
+//! the move — rolls the same snapshot back on the real network.
 
 use boolsubst_cube::Cover;
 use boolsubst_network::{Network, NetworkError, NodeId};
@@ -68,11 +71,18 @@ impl TxnSnapshot {
         self.version
     }
 
+    /// Slot-table bound at capture time: every live node at an index ≥
+    /// this was minted by the attempt.
+    #[must_use]
+    pub fn id_bound(&self) -> usize {
+        self.id_bound
+    }
+
     /// Captured pre-image of `id`: its fanins and cover at capture time.
     /// `None` when `id` was not captured — the attempt was not allowed to
-    /// touch it, so its live definition *is* its pre-image. Lets the
-    /// guard resolve pre-rewrite definitions as an overlay over the
-    /// mutated network without cloning it.
+    /// touch it, so its live definition *is* its pre-image. The guard's
+    /// local window reads the changed nodes' pre-rewrite definitions from
+    /// here, without cloning the network.
     #[must_use]
     pub fn image_of(&self, id: NodeId) -> Option<(&[NodeId], &Cover)> {
         self.images

@@ -28,6 +28,17 @@
 //! degrades to [`GuardDecision::PassSampled`] when every exact backend
 //! is out of budget.
 //!
+//! There are two entry points. [`Guard::check`] compares two whole
+//! networks and runs the full escalation above. [`Guard::check_window`]
+//! compares a rewrite's *local window*: two small networks over the same
+//! ordered leaves (the unchanged nodes the rewritten nodes read), one
+//! output per rewritten node. Windows are a few nodes wide, so an exact
+//! verdict costs microseconds and tier A is skipped: the policy's exact
+//! chain runs first (`BDD`, `BDD → SAT` or `SAT`), and tier A runs only
+//! when no exact tier reached a verdict — always so under
+//! [`TierPolicy::Sim`]. Under [`TierPolicy::Sat`] every window verdict
+//! therefore comes from the miter.
+//!
 //! The guard deliberately re-implements its BDD oracle here rather than
 //! calling into `boolsubst-core`: the checked engine lives in core, so the
 //! guard must sit *below* it in the crate graph to stay an independent
@@ -359,7 +370,8 @@ impl Guard {
         self.metrics = Some(GuardMetrics::resolve(handle));
     }
 
-    /// Number of [`Guard::check`] calls so far.
+    /// Number of [`Guard::check`] and [`Guard::check_window`] calls so
+    /// far.
     #[must_use]
     pub fn checks(&self) -> u64 {
         self.checks
@@ -408,8 +420,24 @@ impl Guard {
     /// clone of `post`, so the engine guarantees this; a structural
     /// mismatch is reported as a refutation rather than trusted.
     pub fn check(&mut self, pre: &Network, post: &Network) -> GuardDecision {
+        self.metered(pre, post, false)
+    }
+
+    /// Checks a *window* pair: two small networks over the same ordered
+    /// leaves whose outputs are the nodes a rewrite changed. Same
+    /// contract as [`Guard::check`], but tier A is skipped and the
+    /// policy's exact chain runs straight away — on a window an exact
+    /// BDD costs microseconds, so simulating first buys nothing. Tier A
+    /// runs only when no exact tier reaches a verdict (always so under
+    /// [`TierPolicy::Sim`]), so a sampled pass still rests on a sample.
+    pub fn check_window(&mut self, pre: &Network, post: &Network) -> GuardDecision {
+        self.metered(pre, post, true)
+    }
+
+    /// One check plus its metric bookings (see [`Guard::attach_metrics`]).
+    fn metered(&mut self, pre: &Network, post: &Network, window: bool) -> GuardDecision {
         let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        let decision = self.check_inner(pre, post);
+        let decision = self.check_inner(pre, post, window);
         if let (Some(m), Some(t0)) = (&self.metrics, t0) {
             m.checks.inc();
             let i = TIER_NAMES
@@ -422,75 +450,79 @@ impl Guard {
         decision
     }
 
-    fn check_inner(&mut self, pre: &Network, post: &Network) -> GuardDecision {
+    fn check_inner(&mut self, pre: &Network, post: &Network, window: bool) -> GuardDecision {
         self.checks += 1;
-        if pre.inputs().len() != post.inputs().len() || pre.outputs().len() != post.outputs().len()
-        {
+        let same_interface = pre.inputs().len() == post.inputs().len()
+            && pre.outputs().len() == post.outputs().len()
+            && pre
+                .outputs()
+                .iter()
+                .zip(post.outputs())
+                .all(|((a, _), (b, _))| a == b);
+        if !same_interface {
             return GuardDecision::RefutedSim {
                 output: "<interface mismatch>".to_string(),
             };
         }
-
-        // Tier A: word-parallel signatures over the shared pool.
-        let n = pre.inputs().len();
-        let config = self.config;
-        let pool = self.pools.entry(n).or_insert_with(|| {
-            if n <= config.exhaustive_inputs.min(16) {
-                PatternPool::exhaustive(n)
-            } else {
-                PatternPool::random(n, config.words, 0, config.seed)
-            }
-        });
-        let exhaustive = n <= config.exhaustive_inputs.min(16);
-        let pre_table = SimTable::build(pre, pool);
-        let post_table = SimTable::build(post, pool);
-        let words = pool.words();
-        for (k, (name, o)) in pre.outputs().iter().enumerate() {
-            let (post_name, post_o) = &post.outputs()[k];
-            if name != post_name {
-                return GuardDecision::RefutedSim {
-                    output: "<interface mismatch>".to_string(),
-                };
-            }
-            let a = pre_table.sig(pre, *o);
-            let b = post_table.sig(post, *post_o);
-            for w in 0..words {
-                if (a[w] ^ b[w]) & pool.mask(w) != 0 {
-                    return GuardDecision::RefutedSim {
-                        output: name.clone(),
-                    };
-                }
-            }
-        }
-        if exhaustive {
-            return GuardDecision::PassExhaustive;
-        }
-
-        // Tier A sampled clean: escalate to whichever exact backend the
-        // policy allows and can afford. A path that runs out of *budget*
-        // falls through to a (counted) sampled pass; a tier C run that
-        // runs out of *deadline* instead refuses with `OutOfTime`, so a
-        // loaded machine interrupts the sweep rather than quietly
-        // lowering the evidence bar.
-        let bdd_affordable =
-            self.config.exact_node_limit != 0 && post.len() <= self.config.exact_node_limit;
-        let decision = match self.config.tier {
-            TierPolicy::Sim => None,
-            TierPolicy::Bdd => bdd_affordable.then(|| self.check_bdd(pre, post)).flatten(),
-            TierPolicy::Sat => self.check_sat(pre, post),
-            TierPolicy::Auto => {
-                match bdd_affordable.then(|| self.check_bdd(pre, post)).flatten() {
-                    Some(d) => Some(d),
-                    // Tier B unaffordable or its build blew the node
-                    // budget: fall through to the miter.
-                    None => self.check_sat(pre, post),
-                }
-            }
+        let decision = if window {
+            self.exact(pre, post).or_else(|| self.tier_a(pre, post))
+        } else {
+            self.tier_a(pre, post).or_else(|| self.exact(pre, post))
         };
         decision.unwrap_or_else(|| {
             self.sampled_passes += 1;
             GuardDecision::PassSampled
         })
+    }
+
+    /// Tier A: word-parallel output signatures over the shared pool.
+    /// `Some` is conclusive (a refutation, or a pass on an exhaustive
+    /// pool); `None` means the random pool sampled clean.
+    fn tier_a(&mut self, pre: &Network, post: &Network) -> Option<GuardDecision> {
+        let n = pre.inputs().len();
+        let config = self.config;
+        let exhaustive = n <= config.exhaustive_inputs.min(16);
+        let pool = self.pools.entry(n).or_insert_with(|| {
+            if exhaustive {
+                PatternPool::exhaustive(n)
+            } else {
+                PatternPool::random(n, config.words, 0, config.seed)
+            }
+        });
+        let pre_table = SimTable::build(pre, pool);
+        let post_table = SimTable::build(post, pool);
+        for ((name, o), (_, post_o)) in pre.outputs().iter().zip(post.outputs()) {
+            let a = pre_table.sig(pre, *o);
+            let b = post_table.sig(post, *post_o);
+            if (0..pool.words()).any(|w| (a[w] ^ b[w]) & pool.mask(w) != 0) {
+                return Some(GuardDecision::RefutedSim {
+                    output: name.clone(),
+                });
+            }
+        }
+        exhaustive.then_some(GuardDecision::PassExhaustive)
+    }
+
+    /// The policy's exact chain: whichever exact backend the policy
+    /// allows and can afford. `None` when every allowed backend ran out
+    /// of *budget* (or the policy allows none); the caller degrades to a
+    /// (counted) sampled pass. A tier C run that runs out of *deadline*
+    /// instead refuses with `OutOfTime`, so a loaded machine interrupts
+    /// the sweep rather than quietly lowering the evidence bar.
+    fn exact(&mut self, pre: &Network, post: &Network) -> Option<GuardDecision> {
+        let bdd_affordable =
+            self.config.exact_node_limit != 0 && post.len() <= self.config.exact_node_limit;
+        match self.config.tier {
+            TierPolicy::Sim => None,
+            TierPolicy::Bdd => bdd_affordable.then(|| self.check_bdd(pre, post)).flatten(),
+            TierPolicy::Sat => self.check_sat(pre, post),
+            // Tier B unaffordable or its build blew the node budget: fall
+            // through to the miter.
+            TierPolicy::Auto => bdd_affordable
+                .then(|| self.check_bdd(pre, post))
+                .flatten()
+                .or_else(|| self.check_sat(pre, post)),
+        }
     }
 
     /// Tier B: exact BDD compare of the primary-output functions, capped
@@ -846,6 +878,86 @@ mod tests {
         assert_eq!(guard.exact_runs(), 0);
         assert_eq!(guard.sat_runs(), 0);
         assert_eq!(guard.sampled_passes(), 1);
+    }
+
+    #[test]
+    fn window_check_skips_tier_a_even_when_exhaustive() {
+        let (pre, post) = small_pair();
+        let mut guard = Guard::new(GuardConfig::default());
+        assert_eq!(
+            guard.check_window(&pre, &post),
+            GuardDecision::RefutedExact {
+                output: "f".to_string()
+            },
+            "a 2-input window must go straight to the BDD, not the exhaustive pool"
+        );
+        assert_eq!(
+            guard.check_window(&pre, &pre.clone()),
+            GuardDecision::PassExact
+        );
+        assert_eq!(guard.exact_runs(), 2);
+        assert_eq!(guard.checks(), 2);
+        assert!(
+            guard.pools.is_empty(),
+            "no pool is built for an exact window"
+        );
+    }
+
+    #[test]
+    fn window_check_under_sat_policy_is_decided_by_the_miter() {
+        let (pre, post) = small_pair();
+        let mut guard = Guard::new(GuardConfig {
+            tier: TierPolicy::Sat,
+            ..GuardConfig::default()
+        });
+        assert_eq!(
+            guard.check_window(&pre, &pre.clone()),
+            GuardDecision::PassSat
+        );
+        assert_eq!(
+            guard.check_window(&pre, &post).tier_name(),
+            "sat",
+            "every Sat-policy window verdict comes from tier C"
+        );
+        assert_eq!(guard.sat_runs(), 2);
+        assert_eq!(guard.exact_runs(), 0);
+    }
+
+    #[test]
+    fn window_check_under_sim_policy_runs_tier_a_alone() {
+        let (pre, post) = small_pair();
+        let mut guard = Guard::new(GuardConfig {
+            tier: TierPolicy::Sim,
+            ..GuardConfig::default()
+        });
+        assert_eq!(
+            guard.check_window(&pre, &post),
+            GuardDecision::RefutedSim {
+                output: "f".to_string()
+            }
+        );
+        let (wide, _) = wide_pair();
+        assert_eq!(
+            guard.check_window(&wide, &wide.clone()),
+            GuardDecision::PassSampled
+        );
+        assert_eq!(guard.exact_runs() + guard.sat_runs(), 0);
+    }
+
+    #[test]
+    fn window_check_samples_only_when_every_exact_tier_is_out_of_budget() {
+        let (pre, post) = wide_pair();
+        let mut guard = Guard::new(GuardConfig {
+            tier: TierPolicy::Bdd,
+            bdd_node_budget: 1,
+            ..GuardConfig::default()
+        });
+        // The pool misses the single differing minterm: the sampled pass
+        // is what a whole-network check would have returned too.
+        assert_eq!(guard.check_window(&pre, &post), GuardDecision::PassSampled);
+        assert_eq!(guard.bdd_over_budget(), 1);
+        assert_eq!(guard.sampled_passes(), 1);
+        assert_eq!(guard.pools.len(), 1, "tier A ran as the last resort");
     }
 
     #[test]

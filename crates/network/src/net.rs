@@ -587,66 +587,6 @@ impl Network {
         out
     }
 
-    /// Extracts the single-output cone of `root` as a standalone network:
-    /// inputs are the given primary inputs of `self` (in order — they
-    /// must cover the cone's input support), internal nodes are `root`'s
-    /// transitive fanin, and the only output is `root`'s function under
-    /// `root`'s name. Node names carry over, so cones extracted from two
-    /// networks with positionally identical input lists compare
-    /// positionally. Cost is proportional to the cone, not the network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError::UnknownNode`] when the cone reaches a
-    /// primary input missing from `inputs`, or when `root` is itself a
-    /// primary input not listed there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root` or any id in `inputs` is invalid.
-    pub fn extract_cone(&self, root: NodeId, inputs: &[NodeId]) -> Result<Network, NetworkError> {
-        let mut cone = Network::new(format!("{}:cone", self.name));
-        let mut map: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        for &pi in inputs {
-            map[pi.0] = Some(cone.add_input(self.node(pi).name())?);
-        }
-        // Emit the cone's internal nodes children-first (iterative
-        // post-order DFS over fanin edges; `(n, true)` is the emit
-        // marker, pushed below `n`'s children so it pops after them).
-        let mut open = vec![false; self.nodes.len()];
-        let mut stack = vec![(root, false)];
-        while let Some((n, emit)) = stack.pop() {
-            if emit {
-                let node = self.node(n);
-                let mut fanins = Vec::with_capacity(node.fanins().len());
-                for &f in node.fanins() {
-                    match map[f.0] {
-                        Some(m) => fanins.push(m),
-                        None => return Err(NetworkError::UnknownNode(format!("{f}"))),
-                    }
-                }
-                let cover = node.cover().expect("internal").clone();
-                map[n.0] = Some(cone.add_node(node.name(), fanins, cover)?);
-                continue;
-            }
-            if open[n.0] || map[n.0].is_some() {
-                continue;
-            }
-            if self.node(n).cover().is_none() {
-                // A primary input the caller did not list.
-                return Err(NetworkError::UnknownNode(format!("{n}")));
-            }
-            open[n.0] = true;
-            stack.push((n, true));
-            for &f in self.node(n).fanins() {
-                stack.push((f, false));
-            }
-        }
-        let out = map[root.0].ok_or_else(|| NetworkError::UnknownNode(format!("{root}")))?;
-        cone.add_output(self.node(root).name(), out)?;
-        Ok(cone)
-    }
-
     /// Total SOP literal count over all internal nodes (the raw metric; the
     /// paper reports *factored-form* literals, see `boolsubst-algebraic`).
     #[must_use]

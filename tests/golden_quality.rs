@@ -5,7 +5,8 @@
 //! table is only read here; regenerate it with the `golden_bless`
 //! binary and review the diff.
 
-use boolsubst_bench::golden::{all_cases, cases, parse, run, Group};
+use boolsubst::core::SubstMode;
+use boolsubst_bench::golden::{all_cases, cases, parse, run, run_with, Group};
 use std::collections::BTreeMap;
 
 const TABLE: &str = include_str!("golden_quality.txt");
@@ -33,6 +34,53 @@ fn check(group: Group) {
         diffs.len(),
         diffs.join("\n")
     );
+}
+
+/// Checked runs of every non-GDC case of `groups` must reproduce the
+/// case's row — the pinned unchecked result, BLIF hash included — with
+/// every accept proved on its local window: no whole-network fallback
+/// and no guard rejection. GDC rewrites always take the whole-network
+/// compare, so they are left out.
+fn check_checked(groups: &[Group]) {
+    let table = table();
+    let mut diffs = Vec::new();
+    for case in groups.iter().flat_map(|&g| cases(g)) {
+        if case.options().mode == SubstMode::ExtendedGdc {
+            continue;
+        }
+        let want = table
+            .get(&case.id)
+            .map_or("<missing: run golden_bless>", String::as_str);
+        let (got, stats) = run_with(&case, case.options().clone().with_checked(true));
+        if got != want || stats.guard_fallbacks != 0 || stats.guard_rejections != 0 {
+            diffs.push(format!(
+                "{}:\n  want {want}\n  got  {got} (fallbacks {}, rejections {})",
+                case.id, stats.guard_fallbacks, stats.guard_rejections
+            ));
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "{} checked row(s) differ:\n{}",
+        diffs.len(),
+        diffs.join("\n")
+    );
+}
+
+#[test]
+fn checked_small_circuits_match_golden_without_fallbacks() {
+    check_checked(&[
+        Group::Suite,
+        Group::Paper,
+        Group::Random,
+        Group::Planted,
+        Group::Policy,
+    ]);
+}
+
+#[test]
+fn checked_large_adder_matches_golden_without_fallbacks() {
+    check_checked(&[Group::Large]);
 }
 
 #[test]

@@ -215,8 +215,10 @@ fn checked_multiplier_run_has_zero_sampled_passes() {
 }
 
 /// Bit-identity of the engine with the SAT tier enabled against the
-/// unchecked run. The instance has 20 inputs so tier A samples (no
-/// exhaustive pool) and every acceptance really flows through tier C.
+/// unchecked run. Every acceptance really flows through tier C: the
+/// guard checks each rewrite on its local window, and window checks skip
+/// tier A and go straight to the policy's exact chain, which under
+/// `TierPolicy::Sat` is the miter alone.
 #[test]
 fn engine_with_sat_tier_is_bit_identical_to_unchecked() {
     let params = GeneratorParams {
